@@ -1,4 +1,9 @@
-// The boss/worker control plane: the cluster-scale version of the Gateway.
+// Package cluster implements the platform layer above single machines: the
+// global manager of the paper's Fig 6 as a boss/worker control plane. Users
+// register functions with their profiles once; the boss routes each request
+// to a machine with at least one of the required PU kinds (§4.1), deploying
+// the function there on first use, and places function chains on one
+// machine whenever possible, for communication locality (§4.1).
 //
 // A Boss owns N simulated machines, each a full heterogeneous computer —
 // its own hw.Machine, XPU shim, and Molecule runtime — living on its own
@@ -10,7 +15,7 @@
 // conservative windowed driver at any OS worker count with byte-identical
 // results.
 //
-// Routing (the paper's Fig 6 global manager, scaled out):
+// Routing:
 //   - warm-instance affinity: a rendezvous hash over the live eligible
 //     machines gives every function a stable home, so repeat invocations
 //     land where their warm instances are;
@@ -48,6 +53,45 @@ const (
 	intermediateBytes = 1 << 12
 )
 
+// kindMask is a bitset of hw.PUKind values — precomputed once per machine
+// and once per registration so routing tests eligibility with a single AND
+// instead of building a map per machine per request.
+type kindMask uint32
+
+func maskOf(kinds ...hw.PUKind) kindMask {
+	var m kindMask
+	for _, k := range kinds {
+		m |= 1 << uint(k)
+	}
+	return m
+}
+
+func (m kindMask) has(k hw.PUKind) bool { return m&(1<<uint(k)) != 0 }
+
+// machineKinds returns the bitset of PU kinds present on a machine.
+func machineKinds(m *hw.Machine) kindMask {
+	var mask kindMask
+	for _, pu := range m.PUs() {
+		mask |= 1 << uint(pu.Kind)
+	}
+	return mask
+}
+
+// registration is a function registered with the boss.
+type registration struct {
+	profiles []molecule.Profile
+	mask     kindMask // union of the profiles' PU kinds
+}
+
+// errClusterSaturated reports requests that found no capacity and nothing
+// inflight to wait for: every eligible machine's admission window is
+// closed. It wraps molecule.ErrUnavailable so front ends (httpd) can map it
+// to 503 without reaching into this package.
+var errClusterSaturated = fmt.Errorf("cluster: saturated with nothing inflight: %w", molecule.ErrUnavailable)
+
+// ingress charges the client↔boss network hop one way.
+func ingress(p *sim.Proc) { p.Sleep(params.NetworkBaseLatency) }
+
 // Node is one worker machine of a Boss cluster: a shard domain owning its
 // own hardware and Molecule runtime. Boss-side fields (inflight, draining,
 // down, counters) are only touched from domain 0; machine-side fields
@@ -73,8 +117,8 @@ type Node struct {
 	deployed  map[string]bool
 	deploying map[string]*sim.WaitGroup
 
-	// Machine-side admission state (the Gateway's epoch queue, local to
-	// this machine): a request that hits ErrNoCapacity parks here and
+	// Machine-side admission state (an epoch queue local to this
+	// machine): a request that hits ErrNoCapacity parks here and
 	// retries when a local completion frees an instance slot, instead of
 	// bouncing back to the boss. FIFO-fair against the warm pool and free
 	// of the cross-machine round trip.
@@ -116,8 +160,7 @@ func (n *Node) hasRoom() bool { return n.capacity > 0 && n.inflight < n.capacity
 type BossConfig struct {
 	// Machines is the worker machine count (≥1).
 	Machines int
-	// HW configures every machine (homogeneous fleet; heterogeneous
-	// fleets use AddMachineConfigs in a later iteration).
+	// HW configures every machine (homogeneous fleet).
 	HW hw.Config
 	// Opts configures every machine's Molecule runtime.
 	Opts molecule.Options

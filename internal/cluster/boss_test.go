@@ -11,6 +11,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/molecule"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // newTestBoss builds a small cluster and registers the given functions on
@@ -29,15 +30,60 @@ func newTestBoss(t *testing.T, machines int, cfg hw.Config, capacity int, fns ..
 	return b
 }
 
-func TestBossInvokeCompletes(t *testing.T) {
-	b := newTestBoss(t, 2, hw.Config{}, 0, "pyaes")
-	var res molecule.Result
-	var worker int
-	var err error
+// invokeOnce runs one request from a fresh client to quiescence.
+func invokeOnce(b *Boss, fn string) (res molecule.Result, worker int, err error) {
 	b.Env.Spawn("client", func(p *sim.Proc) {
-		res, worker, err = b.InvokeDetailed(p, "pyaes", molecule.InvokeOptions{PU: -1})
+		res, worker, err = b.InvokeDetailed(p, fn, molecule.InvokeOptions{PU: -1})
 	})
 	b.Run(1)
+	return res, worker, err
+}
+
+// chainOnce runs one chain from a fresh client to quiescence.
+func chainOnce(b *Boss, chain []string) (res molecule.ChainResult, err error) {
+	b.Env.Spawn("client", func(p *sim.Proc) {
+		res, err = b.InvokeChain(p, chain, molecule.ChainOptions{})
+	})
+	b.Run(1)
+	return res, err
+}
+
+// burst submits n concurrent requests for fn (or for chain, when non-nil)
+// from separate clients and runs the cluster to quiescence.
+func burst(b *Boss, n int, fn string, chain []string) []error {
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		i := i
+		b.Env.Spawn(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
+			if chain != nil {
+				_, errs[i] = b.InvokeChain(p, chain, molecule.ChainOptions{})
+			} else {
+				_, errs[i] = b.Invoke(p, fn, molecule.InvokeOptions{PU: -1})
+			}
+		})
+	}
+	b.Run(1)
+	return errs
+}
+
+// restrictKinds narrows machine i's kind mask before any Register call,
+// emulating a mixed fleet on a homogeneous boss.
+func restrictKinds(b *Boss, i int, kinds ...hw.PUKind) { b.nodes[i].kinds = maskOf(kinds...) }
+
+// splitEdge reports whether any chain edge paid an interconnect hop: the
+// hop is ms-scale, every intra-machine edge µs-scale.
+func splitEdge(b *Boss, res molecule.ChainResult) bool {
+	for _, e := range res.EdgeLatency {
+		if e >= b.IC.Lookahead() {
+			return true
+		}
+	}
+	return false
+}
+
+func TestBossInvokeCompletes(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 0, "pyaes")
+	res, worker, err := invokeOnce(b, "pyaes")
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
 	}
@@ -89,15 +135,7 @@ func TestBossWorkStealing(t *testing.T) {
 	const machines, cap = 3, 2
 	b := newTestBoss(t, machines, hw.Config{}, cap, "pyaes")
 	const n = machines * cap // enough to need every machine
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		b.Env.Spawn(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
-			_, errs[i] = b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-		})
-	}
-	b.Run(1)
-	for i, err := range errs {
+	for i, err := range burst(b, n, "pyaes", nil) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -122,15 +160,7 @@ func TestBossCentralQueue(t *testing.T) {
 	const machines, cap = 2, 1
 	b := newTestBoss(t, machines, hw.Config{}, cap, "pyaes")
 	const n = 3 * machines * cap // 3x cluster capacity
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		b.Env.Spawn(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
-			_, errs[i] = b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-		})
-	}
-	b.Run(1)
-	for i, err := range errs {
+	for i, err := range burst(b, n, "pyaes", nil) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -147,21 +177,12 @@ func TestBossCentralQueue(t *testing.T) {
 // run on one machine — zero interconnect hops inside the chain.
 func TestBossChainLocality(t *testing.T) {
 	b := newTestBoss(t, 3, hw.Config{DPUs: 1}, 0, "mr-splitter", "mr-mapper", "mr-reducer")
-	var res molecule.ChainResult
-	var err error
-	b.Env.Spawn("client", func(p *sim.Proc) {
-		res, err = b.InvokeChain(p, []string{"mr-splitter", "mr-mapper", "mr-reducer"}, molecule.ChainOptions{})
-	})
-	b.Run(1)
+	res, err := chainOnce(b, []string{"mr-splitter", "mr-mapper", "mr-reducer"})
 	if err != nil {
 		t.Fatalf("InvokeChain: %v", err)
 	}
-	// A split chain appends the interconnect hop (ms-scale) to EdgeLatency;
-	// a local chain's edges are all intra-machine (µs-scale).
-	for i, e := range res.EdgeLatency {
-		if e >= b.IC.Lookahead() {
-			t.Fatalf("edge %d latency %v >= interconnect base %v: chain was split", i, e, b.IC.Lookahead())
-		}
+	if splitEdge(b, res) {
+		t.Fatalf("chain was split: edges %v include an interconnect hop", res.EdgeLatency)
 	}
 	served := 0
 	for _, n := range b.Nodes() {
@@ -180,36 +201,22 @@ func TestBossChainLocality(t *testing.T) {
 // segments with an interconnect hop between them.
 func TestBossChainSplitHetero(t *testing.T) {
 	b := newTestBoss(t, 2, hw.Config{DPUs: 1}, 0)
+	// Restrict machine 0 to CPU-only and machine 1 to DPU-only eligibility:
+	// the chain pyaes→matmul then has no single home and must split 0→1.
+	restrictKinds(b, 0, hw.CPU)
+	restrictKinds(b, 1, hw.DPU)
 	if err := b.Register("pyaes", molecule.DefaultProfile(hw.CPU)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	if err := b.Register("matmul", molecule.DefaultProfile(hw.DPU)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	// Restrict machine 0 to CPU-only and machine 1 to DPU-only eligibility:
-	// the chain pyaes→matmul then has no single home and must split 0→1.
-	b.nodes[0].kinds = maskOf(hw.CPU)
-	b.nodes[1].kinds = maskOf(hw.DPU)
-	// Re-push kind-filtered registrations under the new masks.
-	b.nodes[0].regs = map[string][]molecule.Profile{"pyaes": {molecule.DefaultProfile(hw.CPU)}}
-	b.nodes[1].regs = map[string][]molecule.Profile{"matmul": {molecule.DefaultProfile(hw.DPU)}}
 
-	var res molecule.ChainResult
-	var err error
-	b.Env.Spawn("client", func(p *sim.Proc) {
-		res, err = b.InvokeChain(p, []string{"pyaes", "matmul"}, molecule.ChainOptions{})
-	})
-	b.Run(1)
+	res, err := chainOnce(b, []string{"pyaes", "matmul"})
 	if err != nil {
 		t.Fatalf("InvokeChain: %v", err)
 	}
-	split := false
-	for _, e := range res.EdgeLatency {
-		if e >= b.IC.Lookahead() {
-			split = true
-		}
-	}
-	if !split {
+	if !splitEdge(b, res) {
 		t.Fatalf("chain did not pay an interconnect hop despite disjoint machine kinds (edges=%v)", res.EdgeLatency)
 	}
 	for i, n := range b.Nodes() {
@@ -285,12 +292,7 @@ func TestBossFailover(t *testing.T) {
 	if err := b.Readmit(home.ID()); err != nil {
 		t.Fatalf("Readmit: %v", err)
 	}
-	var revivedWorker int
-	var revivedErr error
-	b.Env.Spawn("client2", func(p *sim.Proc) {
-		_, revivedWorker, revivedErr = b.InvokeDetailed(p, "pyaes", molecule.InvokeOptions{PU: -1})
-	})
-	b.Run(1)
+	_, revivedWorker, revivedErr := invokeOnce(b, "pyaes")
 	if revivedErr != nil {
 		t.Fatalf("post-revive invoke: %v", revivedErr)
 	}
@@ -302,22 +304,13 @@ func TestBossFailover(t *testing.T) {
 // TestBossDrainUnderLoad: draining a machine mid-burst must not strand its
 // inflight requests, and new requests must avoid it.
 func TestBossDrainUnderLoad(t *testing.T) {
-	const n = 8
 	b := newTestBoss(t, 2, hw.Config{}, 2, "pyaes")
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		b.Env.Spawn(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
-			_, errs[i] = b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-		})
-	}
 	b.Env.At(sim.Time(50*time.Millisecond), func() {
 		if err := b.Drain(0); err != nil {
 			t.Errorf("Drain: %v", err)
 		}
 	})
-	b.Run(1)
-	for i, err := range errs {
+	for i, err := range burst(b, 8, "pyaes", nil) {
 		if err != nil {
 			t.Fatalf("request %d failed across drain: %v", i, err)
 		}
@@ -365,11 +358,7 @@ func TestBossDeterministicAcrossWorkers(t *testing.T) {
 func TestBossSaturatedIdleFailsQueue(t *testing.T) {
 	b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes")
 	b.nodes[0].capacity = 0 // hasRoom() is always false
-	var err error
-	b.Env.Spawn("client", func(p *sim.Proc) {
-		_, err = b.Invoke(p, "pyaes", molecule.InvokeOptions{PU: -1})
-	})
-	b.Run(1)
+	_, _, err := invokeOnce(b, "pyaes")
 	if !errors.Is(err, errClusterSaturated) {
 		t.Fatalf("want errClusterSaturated, got %v", err)
 	}
@@ -382,16 +371,351 @@ func TestBossSaturatedIdleFailsQueue(t *testing.T) {
 // without charging any inflight window.
 func TestBossUnregisteredFunction(t *testing.T) {
 	b := newTestBoss(t, 1, hw.Config{}, 0)
-	var err error
-	b.Env.Spawn("client", func(p *sim.Proc) {
-		_, err = b.Invoke(p, "nope", molecule.InvokeOptions{PU: -1})
-	})
-	b.Run(1)
-	if err == nil {
+	if _, _, err := invokeOnce(b, "nope"); err == nil {
 		t.Fatalf("want error for unregistered function")
 	}
 	if got := b.Inflight(); got != 0 {
 		t.Fatalf("inflight = %d, want 0", got)
+	}
+}
+
+func TestRegisterValidation(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 0)
+	if err := b.Register("nope"); err == nil {
+		t.Error("unknown function registered")
+	}
+	if err := b.Register("matmul"); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestScheduleByPUKind: an FPGA-only registration routes to the one
+// machine whose kinds include FPGA and runs on its FPGA PU.
+func TestScheduleByPUKind(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{FPGAs: 1}, 0)
+	restrictKinds(b, 0, hw.CPU)
+	if err := b.Register("mscale", molecule.DefaultProfile(hw.FPGA)); err != nil {
+		t.Fatal(err)
+	}
+	res, worker, err := invokeOnce(b, "mscale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worker != 1 || res.Kind != hw.FPGA {
+		t.Errorf("FPGA function served by machine %d on %v, want machine 1 on FPGA", worker, res.Kind)
+	}
+}
+
+// TestScheduleLeastLoaded: with the affinity home saturated, a request is
+// stolen by the least-loaded machine that still has room.
+func TestScheduleLeastLoaded(t *testing.T) {
+	b := newTestBoss(t, 3, hw.Config{}, 4, "matmul")
+	home, _, err := b.routeOne("matmul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	home.inflight = home.capacity
+	loads := []int{3, 1}
+	var light *Node // the later machine, which gets the lighter load
+	for _, n := range b.nodes {
+		if n != home {
+			n.inflight, loads, light = loads[0], loads[1:], n
+		}
+	}
+	n, stolen, err := b.routeOne("matmul")
+	if err != nil || !stolen || n != light {
+		t.Errorf("routeOne = machine %v stolen=%v err=%v, want least-loaded machine %d stolen", n.ID(), stolen, err, light.ID())
+	}
+}
+
+// TestNoEligibleWorker: a function no machine can run fails as the
+// client's error, not as molecule.ErrUnavailable (which front ends answer
+// with 503), for single requests and chains alike.
+func TestNoEligibleWorker(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes") // CPU only
+	if err := b.Register("mscale", molecule.DefaultProfile(hw.FPGA)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := invokeOnce(b, "mscale")
+	if err == nil || errors.Is(err, molecule.ErrUnavailable) {
+		t.Errorf("FPGA request on a CPU-only cluster: err = %v, want a non-503 error", err)
+	}
+	_, err = chainOnce(b, []string{"pyaes", "mscale"})
+	if err == nil || errors.Is(err, molecule.ErrUnavailable) {
+		t.Errorf("mixed chain on a CPU-only cluster: err = %v, want a non-503 error", err)
+	}
+}
+
+func TestLazyDeploymentPerWorker(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 0, "matmul")
+	for _, n := range b.Nodes() {
+		if n.deployed["matmul"] {
+			t.Fatalf("machine %d deployed before first use", n.ID())
+		}
+	}
+	_, worker, err := invokeOnce(b, "matmul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range b.Nodes() {
+		if got, want := n.deployed["matmul"], n.ID() == worker; got != want {
+			t.Errorf("machine %d deployed=%v after one invoke served by machine %d", n.ID(), got, worker)
+		}
+	}
+	// The second invoke reuses the deployment and its warm instance.
+	res, again, err := invokeOnce(b, "matmul")
+	if err != nil || res.Cold || again != worker {
+		t.Errorf("second invoke: machine %d cold=%v err=%v, want warm on machine %d", again, res.Cold, err, worker)
+	}
+}
+
+// TestChainSchedulesToOneWorker: a chain and its warm re-run land on one
+// machine, so the re-run has no cold starts.
+func TestChainSchedulesToOneWorker(t *testing.T) {
+	chain := workloads.MapReduceChain()
+	b := newTestBoss(t, 2, hw.Config{DPUs: 1}, 0, chain...)
+	for _, wantCold := range []int{len(chain), 0} {
+		res, err := chainOnce(b, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ColdStarts != wantCold {
+			t.Errorf("chain cold starts = %d, want %d", res.ColdStarts, wantCold)
+		}
+	}
+	if served := servedOf(b); served[0]+served[1] != 2 || served[0]*served[1] != 0 {
+		t.Errorf("chains served by machines %v, want both on one machine", served)
+	}
+}
+
+// TestMixedChainNeedsHeterogeneousWorker: a chain of a DPU-only function
+// runs whole on the one machine whose kinds include DPU, not split.
+func TestMixedChainNeedsHeterogeneousWorker(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{DPUs: 1}, 0)
+	restrictKinds(b, 0, hw.CPU)
+	if err := b.Register("matmul", molecule.DefaultProfile(hw.DPU)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := chainOnce(b, []string{"matmul", "matmul"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if splitEdge(b, res) || servedOf(b)[1] != 1 {
+		t.Errorf("mixed chain: edges %v served %v, want it whole on machine 1", res.EdgeLatency, servedOf(b))
+	}
+}
+
+func TestDrainExcludesWorker(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 0, "matmul")
+	if err := b.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, worker, err := invokeOnce(b, "matmul"); err != nil || worker != 1 {
+			t.Errorf("request on machine %d (err %v), want 1 while 0 drains", worker, err)
+		}
+	}
+	if err := b.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := invokeOnce(b, "matmul"); err == nil {
+		t.Error("request routed onto a fully drained cluster")
+	}
+	if err := b.Undrain(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, worker, err := invokeOnce(b, "matmul"); err != nil || worker != 0 {
+		t.Errorf("undrained machine not used: machine %d err %v", worker, err)
+	}
+	if err := b.Drain(9); err == nil {
+		t.Error("drain of unknown machine accepted")
+	}
+	if err := b.Undrain(-1); err == nil {
+		t.Error("undrain of unknown machine accepted")
+	}
+}
+
+// TestBurstAboveCapacityCompletes: a burst of twice the cluster's capacity
+// completes with zero errors, and every machine's admission window drains
+// back to zero.
+func TestBurstAboveCapacityCompletes(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 2, "pyaes")
+	for i, err := range burst(b, 8, "pyaes", nil) {
+		if err != nil {
+			t.Errorf("burst request %d: %v", i, err)
+		}
+	}
+	for _, n := range b.Nodes() {
+		if n.Inflight() != 0 || n.Served() == 0 {
+			t.Errorf("machine %d: inflight %d served %d, want 0 inflight and a share served", n.ID(), n.Inflight(), n.Served())
+		}
+	}
+	if got := b.Inflight(); got != 0 {
+		t.Errorf("inflight after burst = %d, want 0", got)
+	}
+}
+
+// TestChainBurstAboveCapacityCompletes covers the same saturation path for
+// chains.
+func TestChainBurstAboveCapacityCompletes(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 2, "pyaes")
+	for i, err := range burst(b, 4, "", []string{"pyaes", "pyaes"}) {
+		if err != nil {
+			t.Errorf("chain burst request %d: %v", i, err)
+		}
+	}
+	if got := b.Inflight(); got != 0 {
+		t.Errorf("inflight after chain burst = %d, want 0", got)
+	}
+}
+
+// TestInflightZeroOnErrorPaths walks every request-rejection path and
+// asserts the boss's and the machine's inflight counters are back at zero
+// each time.
+func TestInflightZeroOnErrorPaths(t *testing.T) {
+	b := newTestBoss(t, 1, hw.Config{}, 0, "pyaes")
+	if err := b.Register("mscale", molecule.DefaultProfile(hw.FPGA)); err != nil {
+		t.Fatal(err)
+	}
+	node := b.Nodes()[0]
+	check := func(when string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: request succeeded, want an error", when)
+		}
+		if b.Inflight() != 0 || node.Inflight() != 0 {
+			t.Errorf("%s: inflight boss=%d machine=%d, want 0", when, b.Inflight(), node.Inflight())
+		}
+	}
+	_, _, err := invokeOnce(b, "unregistered")
+	check("unregistered function", err)
+	_, _, err = invokeOnce(b, "mscale")
+	check("no eligible machine", err)
+	_, err = chainOnce(b, []string{"pyaes", "mscale"})
+	check("ineligible chain", err)
+	b.Drain(0)
+	_, _, err = invokeOnce(b, "pyaes")
+	check("fully drained", err)
+	b.Undrain(0)
+	capacity := node.capacity
+	node.capacity = 0
+	_, _, err = invokeOnce(b, "pyaes")
+	check("saturated idle", err)
+	node.capacity = capacity
+	if _, _, err := invokeOnce(b, "pyaes"); err != nil || b.Inflight() != 0 {
+		t.Errorf("healthy invoke after error paths: err %v inflight %d", err, b.Inflight())
+	}
+}
+
+// TestGatewayLoadBalancesConcurrentTraffic drives concurrent requests
+// through the boss, the cluster's one gateway, at two identical machines
+// whose admission windows the burst overflows, and checks both serve a
+// share and every request is accounted to exactly one machine.
+func TestGatewayLoadBalancesConcurrentTraffic(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 2, "pyaes")
+	served := make(map[int]int)
+	for i := 0; i < 12; i++ {
+		b.Env.Spawn(fmt.Sprintf("client-%d", i), func(p *sim.Proc) {
+			_, worker, err := b.InvokeDetailed(p, "pyaes", molecule.InvokeOptions{PU: -1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			served[worker]++
+		})
+	}
+	b.Run(1)
+	if served[0] == 0 || served[1] == 0 {
+		t.Errorf("load not balanced: %v", served)
+	}
+	if served[0]+served[1] != 12 {
+		t.Errorf("served %v, want 12 total", served)
+	}
+	if got := servedOf(b); got[0] != served[0] || got[1] != served[1] {
+		t.Errorf("machine served counters %v disagree with replies %v", got, served)
+	}
+}
+
+// TestSaturatedIdleClusterStillErrors pins the deadlock guard: when every
+// eligible machine's capacity is zero and nothing is inflight, a request
+// must fail fast (nothing will ever complete to wake it) with an error
+// front ends map to 503, and the inflight counters must be back at zero.
+func TestSaturatedIdleClusterStillErrors(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 0, "pyaes")
+	for _, n := range b.Nodes() {
+		n.capacity = 0
+	}
+	_, worker, err := invokeOnce(b, "pyaes")
+	if err == nil {
+		t.Fatal("invoke on a zero-capacity cluster succeeded")
+	}
+	if !errors.Is(err, molecule.ErrUnavailable) {
+		t.Errorf("error %v does not wrap molecule.ErrUnavailable", err)
+	}
+	if worker != -1 {
+		t.Errorf("failed request reports machine %d, want -1", worker)
+	}
+	for _, n := range b.Nodes() {
+		if n.Inflight() != 0 {
+			t.Errorf("machine %d inflight = %d on error path, want 0", n.ID(), n.Inflight())
+		}
+	}
+	if b.Inflight() != 0 || b.Queued() != 0 {
+		t.Errorf("boss inflight=%d queued=%d on error path, want 0", b.Inflight(), b.Queued())
+	}
+}
+
+// TestDrainMidBurstStrandsNothing drains a machine while a burst above
+// cluster capacity is in flight: every request must still complete (the
+// drained machine finishes what it accepted; queued work goes to the
+// survivor) and every inflight counter returns to zero.
+func TestDrainMidBurstStrandsNothing(t *testing.T) {
+	b := newTestBoss(t, 2, hw.Config{}, 2, "pyaes")
+	const n = 10
+	b.Env.At(sim.Time(5*time.Millisecond), func() { // inside the burst's service window
+		if b.Inflight() == 0 {
+			t.Error("burst already finished when the drain fired")
+		}
+		if err := b.Drain(0); err != nil {
+			t.Error(err)
+		}
+	})
+	errs := burst(b, n, "pyaes", nil)
+	done := 0
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("request %d failed during drain: %v", i, err)
+			continue
+		}
+		done++
+	}
+	if done != n {
+		t.Errorf("%d/%d requests completed across drain", done, n)
+	}
+	if !b.Nodes()[0].Draining() {
+		t.Error("machine 0 not draining after the operator drained it")
+	}
+	for _, node := range b.Nodes() {
+		if node.Inflight() != 0 {
+			t.Errorf("machine %d inflight = %d after burst, want 0", node.ID(), node.Inflight())
+		}
+	}
+	if got := b.Inflight(); got != 0 {
+		t.Errorf("boss inflight after burst = %d, want 0", got)
+	}
+}
+
+// TestScheduleZeroAlloc pins single-request routing at zero allocations on
+// a 4-machine boss: eligibility is a precomputed mask AND and the affinity
+// hash writes into a stack hasher.
+func TestScheduleZeroAlloc(t *testing.T) {
+	b := newTestBoss(t, 4, hw.Config{DPUs: 2, FPGAs: 1}, 0, "pyaes")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := b.routeOne("pyaes"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("routeOne allocates %v/op, want 0", n)
 	}
 }
 

@@ -7,23 +7,35 @@ import (
 	"repro/internal/hw"
 	"repro/internal/molecule"
 	"repro/internal/sim"
-	"repro/internal/workloads"
 )
 
-// The gateway schedules an FPGA-profiled function onto the worker that has
-// an FPGA, deploying it there on first use.
+// The boss routes an FPGA-profiled function to a machine's FPGA,
+// deploying it there on first use; the repeat call lands on the same
+// warm home machine.
 func Example() {
-	env := sim.NewEnv()
-	gw := cluster.NewGateway(env, workloads.NewRegistry())
-
-	env.Spawn("platform", func(p *sim.Proc) {
-		gw.AddWorker(p, hw.Config{}, molecule.DefaultOptions())         // worker 0: CPU only
-		gw.AddWorker(p, hw.Config{FPGAs: 1}, molecule.DefaultOptions()) // worker 1: CPU+FPGA
-		gw.Register("mscale", molecule.DefaultProfile(hw.FPGA))
-		res, _ := gw.Invoke(p, "mscale", molecule.DefaultInvokeOptions())
-		fmt.Printf("mscale served by worker %d on %v\n", res.Worker, res.Kind)
+	b, err := cluster.NewBoss(cluster.BossConfig{
+		Machines: 3, HW: hw.Config{DPUs: 2, FPGAs: 1}, Opts: molecule.DefaultOptions(),
 	})
-	env.Run()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	if err := b.Register("mscale", molecule.DefaultProfile(hw.FPGA)); err != nil {
+		fmt.Println(err)
+		return
+	}
+	b.Env.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			res, machine, err := b.InvokeDetailed(p, "mscale", molecule.DefaultInvokeOptions())
+			if err != nil {
+				fmt.Println(err)
+				return
+			}
+			fmt.Printf("mscale served by machine %d on %v\n", machine, res.Kind)
+		}
+	})
+	b.Run(1)
 	// Output:
-	// mscale served by worker 1 on FPGA
+	// mscale served by machine 0 on FPGA
+	// mscale served by machine 0 on FPGA
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cluster"
@@ -57,116 +56,36 @@ func (s *ClusterServer) drive(body func(p *sim.Proc)) {
 // Handler returns the HTTP routes.
 func (s *ClusterServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /deploy", s.handleDeploy)
-	mux.HandleFunc("POST /invoke", s.handleInvoke)
-	mux.HandleFunc("POST /chain", s.handleChain)
+	handleForms(mux, s)
 	mux.HandleFunc("GET /cluster/stats", s.handleStats)
-	mux.HandleFunc("POST /cluster/drain", s.handleDrain)
-	mux.HandleFunc("POST /cluster/undrain", s.handleUndrain)
+	mux.HandleFunc("POST /cluster/drain", s.handleAdmin((*cluster.Boss).Drain, "drained"))
+	mux.HandleFunc("POST /cluster/undrain", s.handleAdmin((*cluster.Boss).Undrain, "undrained"))
 	return mux
 }
 
-func (s *ClusterServer) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	fn := r.FormValue("fn")
-	if fn == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fn parameter required"))
-		return
-	}
-	profiles, err := parseProfiles(r.FormValue("profiles"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// deploy registers fn with the boss; each machine deploys it on first use.
+// The cluster has no SLO engine.
+func (s *ClusterServer) deploy(f deployForm) (string, error) {
+	if f.slo != nil {
+		return "", errNoSLO
 	}
 	s.mu.Lock()
-	regErr := s.boss.Register(fn, profiles...)
-	s.mu.Unlock()
-	if regErr != nil {
-		writeErr(w, http.StatusBadRequest, regErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"registered": fn, "profiles": r.FormValue("profiles")})
+	defer s.mu.Unlock()
+	return "registered", s.boss.Register(f.fn, f.profiles...)
 }
 
-// ClusterInvokeResponse is the cluster /invoke reply: the single-machine
-// fields plus which machine served the request.
-type ClusterInvokeResponse struct {
-	InvokeResponse
-	Machine int `json:"machine"`
+// invoke routes one request through the boss. The boss places requests by
+// function, so a pinned pu and body=1 compute, both single-machine
+// features, are ignored here.
+func (s *ClusterServer) invoke(fn string, opts molecule.InvokeOptions) (res molecule.Result, machine int, err error) {
+	opts.PU, opts.RunBody = molecule.DefaultInvokeOptions().PU, false
+	s.drive(func(p *sim.Proc) { res, machine, err = s.boss.InvokeDetailed(p, fn, opts) })
+	return res, machine, err
 }
 
-func (s *ClusterServer) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	fn := r.FormValue("fn")
-	if fn == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fn parameter required"))
-		return
-	}
-	opts := molecule.DefaultInvokeOptions()
-	if v := r.FormValue("bytes"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad bytes %q", v))
-			return
-		}
-		opts.Arg.Bytes = b
-	}
-	if v := r.FormValue("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad n %q", v))
-			return
-		}
-		opts.Arg.N = n
-	}
-
-	var res molecule.Result
-	var machine int
-	var invErr error
-	s.drive(func(p *sim.Proc) {
-		res, machine, invErr = s.boss.InvokeDetailed(p, fn, opts)
-	})
-	if invErr != nil {
-		// Saturation and dead machines are the platform's fault: 503.
-		status := http.StatusBadRequest
-		if errors.Is(invErr, molecule.ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, invErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, ClusterInvokeResponse{
-		InvokeResponse: InvokeResponse{
-			Fn: res.Fn, PU: int(res.PU), Kind: res.Kind.String(), Cold: res.Cold,
-			StartupMs: ms(res.Startup), ExecMs: ms(res.Exec), TotalMs: ms(res.Total),
-		},
-		Machine: machine,
-	})
-}
-
-func (s *ClusterServer) handleChain(w http.ResponseWriter, r *http.Request) {
-	raw := r.FormValue("fns")
-	if raw == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fns parameter required"))
-		return
-	}
-	fns := strings.Split(raw, ",")
-	var res molecule.ChainResult
-	var chErr error
-	s.drive(func(p *sim.Proc) { res, chErr = s.boss.InvokeChain(p, fns, molecule.ChainOptions{}) })
-	if chErr != nil {
-		status := http.StatusBadRequest
-		if errors.Is(chErr, molecule.ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, chErr)
-		return
-	}
-	edges := make([]float64, len(res.EdgeLatency))
-	for i, e := range res.EdgeLatency {
-		edges[i] = ms(e)
-	}
-	writeJSON(w, http.StatusOK, ChainResponse{
-		Fns: fns, TotalMs: ms(res.Total), EdgeMs: edges, ColdStarts: res.ColdStarts,
-	})
+func (s *ClusterServer) chain(fns []string) (res molecule.ChainResult, err error) {
+	s.drive(func(p *sim.Proc) { res, err = s.boss.InvokeChain(p, fns, molecule.ChainOptions{}) })
+	return res, err
 }
 
 func (s *ClusterServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -192,46 +111,24 @@ func (s *ClusterServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseWorker reads the worker form value and bounds-checks it against the
-// cluster via the boss's own error.
-func (s *ClusterServer) parseWorker(r *http.Request) (int, error) {
-	v := r.FormValue("worker")
-	if v == "" {
-		return 0, fmt.Errorf("httpd: worker parameter required")
+// handleAdmin serves /cluster/drain and /cluster/undrain: op applies to
+// the machine named by the worker form value, and verb keys the reply.
+func (s *ClusterServer) handleAdmin(op func(*cluster.Boss, int) error, verb string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v := r.FormValue("worker")
+		worker, err := strconv.Atoi(v)
+		switch {
+		case v == "":
+			err = errors.New("httpd: worker parameter required")
+		case err != nil:
+			err = fmt.Errorf("httpd: bad worker %q", v)
+		default:
+			s.drive(func(p *sim.Proc) { err = op(s.boss, worker) })
+		}
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{verb: worker})
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("httpd: bad worker %q", v)
-	}
-	return n, nil
-}
-
-func (s *ClusterServer) handleDrain(w http.ResponseWriter, r *http.Request) {
-	worker, err := s.parseWorker(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	var opErr error
-	s.drive(func(p *sim.Proc) { opErr = s.boss.Drain(worker) })
-	if opErr != nil {
-		writeErr(w, http.StatusBadRequest, opErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"drained": worker})
-}
-
-func (s *ClusterServer) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	worker, err := s.parseWorker(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	var opErr error
-	s.drive(func(p *sim.Proc) { opErr = s.boss.Undrain(worker) })
-	if opErr != nil {
-		writeErr(w, http.StatusBadRequest, opErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"undrained": worker})
 }

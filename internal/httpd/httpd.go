@@ -10,14 +10,9 @@
 package httpd
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/faults"
@@ -114,9 +109,7 @@ func (s *Server) drive(body func(p *sim.Proc)) {
 // Handler returns the HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /deploy", s.handleDeploy)
-	mux.HandleFunc("POST /invoke", s.handleInvoke)
-	mux.HandleFunc("POST /chain", s.handleChain)
+	handleForms(mux, s)
 	mux.HandleFunc("GET /functions", s.handleFunctions)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /experiments", s.handleExperiments)
@@ -171,194 +164,47 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	o.Tracer.WriteChromeTrace(w)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// parseProfiles maps "cpu,dpu,fpga,gpu" to profiles.
-func parseProfiles(s string) ([]molecule.Profile, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []molecule.Profile
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(part)) {
-		case "cpu":
-			out = append(out, molecule.DefaultProfile(hw.CPU))
-		case "dpu":
-			out = append(out, molecule.DefaultProfile(hw.DPU))
-		case "fpga":
-			out = append(out, molecule.DefaultProfile(hw.FPGA))
-		case "gpu":
-			out = append(out, molecule.DefaultProfile(hw.GPU))
-		case "":
-		default:
-			return nil, fmt.Errorf("httpd: unknown profile %q", part)
-		}
-	}
-	return out, nil
-}
-
-func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	fn := r.FormValue("fn")
-	if fn == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fn parameter required"))
-		return
-	}
-	profiles, err := parseProfiles(r.FormValue("profiles"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	var sloCfg *obs.SLOConfig
-	if v := r.FormValue("slo"); v != "" {
-		obj, err := time.ParseDuration(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad slo %q: %w", v, err))
-			return
-		}
-		cfg := obs.SLOConfig{Objective: obj, Target: 0.999}
-		if tv := r.FormValue("slo_target"); tv != "" {
-			t, err := strconv.ParseFloat(tv, 64)
-			if err != nil || t <= 0 || t > 1 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad slo_target %q", tv))
-				return
-			}
-			cfg.Target = t
-		}
+// deploy places fn on the machine now, first checking that a requested
+// objective has an SLO engine to land in.
+func (s *Server) deploy(f deployForm) (string, error) {
+	if f.slo != nil {
 		s.mu.Lock()
 		o := s.rt.Observer()
 		s.mu.Unlock()
 		if o == nil || o.SLO == nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: slo engine disabled (EnableSLO / moleculed -slo)"))
-			return
+			return "", errNoSLO
 		}
-		sloCfg = &cfg
 	}
-	var depErr error
-	s.drive(func(p *sim.Proc) { depErr = s.rt.Deploy(p, fn, profiles...) })
-	if depErr != nil {
-		writeErr(w, http.StatusBadRequest, depErr)
-		return
+	var err error
+	s.drive(func(p *sim.Proc) { err = s.rt.Deploy(p, f.fn, f.profiles...) })
+	if err != nil {
+		return "", err
 	}
-	if sloCfg != nil {
+	if f.slo != nil {
 		s.mu.Lock()
 		if o := s.rt.Observer(); o != nil {
-			o.SLO.SetObjective(fn, *sloCfg)
+			o.SLO.SetObjective(f.fn, *f.slo)
 		}
 		s.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deployed": fn, "profiles": r.FormValue("profiles")})
+	return "deployed", nil
 }
 
-// InvokeResponse is the /invoke reply.
-type InvokeResponse struct {
-	Fn        string  `json:"fn"`
-	PU        int     `json:"pu"`
-	Kind      string  `json:"kind"`
-	Cold      bool    `json:"cold"`
-	StartupMs float64 `json:"startup_ms"`
-	ExecMs    float64 `json:"exec_ms"`
-	TotalMs   float64 `json:"total_ms"`
-	Output    any     `json:"output,omitempty"`
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	fn := r.FormValue("fn")
-	if fn == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fn parameter required"))
-		return
-	}
-	opts := molecule.DefaultInvokeOptions()
-	if v := r.FormValue("pu"); v != "" {
-		pu, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad pu %q", v))
-			return
-		}
-		opts.PU = hw.PUID(pu)
-	}
-	if v := r.FormValue("bytes"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad bytes %q", v))
-			return
-		}
-		opts.Arg.Bytes = b
-	}
-	if v := r.FormValue("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: bad n %q", v))
-			return
-		}
-		opts.Arg.N = n
-	}
-	opts.RunBody = r.FormValue("body") == "1"
-
-	var res molecule.Result
-	var invErr error
+// invoke runs one request under a gateway.request root span.
+func (s *Server) invoke(fn string, opts molecule.InvokeOptions) (res molecule.Result, machine int, err error) {
 	s.drive(func(p *sim.Proc) {
 		gw := s.rt.Observer().Span(nil, "gateway.request", int(s.rt.HostID()))
 		gw.SetAttr("fn", fn)
 		opts.Span = gw
-		res, invErr = s.rt.Invoke(p, fn, opts)
+		res, err = s.rt.Invoke(p, fn, opts)
 		gw.Finish()
 	})
-	if invErr != nil {
-		// Exhausted recovery (timeouts, crashed PUs) is the platform's
-		// fault, not the client's: a gateway answers 503, not 400.
-		status := http.StatusBadRequest
-		if errors.Is(invErr, molecule.ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, invErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, InvokeResponse{
-		Fn: res.Fn, PU: int(res.PU), Kind: res.Kind.String(), Cold: res.Cold,
-		StartupMs: ms(res.Startup), ExecMs: ms(res.Exec), TotalMs: ms(res.Total),
-		Output: res.Output,
-	})
+	return res, -1, err
 }
 
-// ChainResponse is the /chain reply.
-type ChainResponse struct {
-	Fns        []string  `json:"fns"`
-	TotalMs    float64   `json:"total_ms"`
-	EdgeMs     []float64 `json:"edge_ms"`
-	ColdStarts int       `json:"cold_starts"`
-}
-
-func (s *Server) handleChain(w http.ResponseWriter, r *http.Request) {
-	raw := r.FormValue("fns")
-	if raw == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpd: fns parameter required"))
-		return
-	}
-	fns := strings.Split(raw, ",")
-	var res molecule.ChainResult
-	var chErr error
-	s.drive(func(p *sim.Proc) { res, chErr = s.rt.InvokeChain(p, fns, molecule.ChainOptions{}) })
-	if chErr != nil {
-		writeErr(w, http.StatusBadRequest, chErr)
-		return
-	}
-	edges := make([]float64, len(res.EdgeLatency))
-	for i, e := range res.EdgeLatency {
-		edges[i] = ms(e)
-	}
-	writeJSON(w, http.StatusOK, ChainResponse{
-		Fns: fns, TotalMs: ms(res.Total), EdgeMs: edges, ColdStarts: res.ColdStarts,
-	})
+func (s *Server) chain(fns []string) (res molecule.ChainResult, err error) {
+	s.drive(func(p *sim.Proc) { res, err = s.rt.InvokeChain(p, fns, molecule.ChainOptions{}) })
+	return res, err
 }
 
 func (s *Server) handleFunctions(w http.ResponseWriter, r *http.Request) {
