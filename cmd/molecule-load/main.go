@@ -72,7 +72,9 @@ func main() {
 	env.Spawn("loadgen", func(p *sim.Proc) {
 		opts := molecule.DefaultOptions()
 		opts.KeepWarmPerPU = *cache
-		opts.UseCfork = *cfork
+		if !*cfork {
+			opts.Startup = molecule.StartupPlain
+		}
 		rt, err := molecule.New(p, machine, workloads.NewRegistry(), opts)
 		if err != nil {
 			log.Fatal(err)

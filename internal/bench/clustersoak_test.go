@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"testing"
+)
 
 // TestClusterSoakDeterministic re-runs one sweep point at several kernel
 // worker counts; ClusterSoak itself fails the run unless every count
@@ -20,15 +24,36 @@ func TestClusterSoakDeterministic(t *testing.T) {
 
 // TestClusterSoakSweepScales pins the headline scaling claim: the checked-in
 // sweep config must reach at least 2.5x virtual-time throughput at four
-// machines versus one. Everything here is virtual-time arithmetic, so the
-// assertion is exact and reproducible, not a wall-clock flake.
+// machines versus one, and every point's fingerprint must equal the one
+// committed in BENCH_cluster.json. Everything here is virtual-time
+// arithmetic, so the assertions are exact and reproducible, not a
+// wall-clock flake.
 func TestClusterSoakSweepScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep skipped in -short mode")
 	}
+	data, err := os.ReadFile("../../BENCH_cluster.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Points []ClusterSoakResult `json:"points"`
+	}
+	if err := json.Unmarshal(data, &committed); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int]string)
+	for _, p := range committed.Points {
+		want[p.Machines] = p.Fingerprint
+	}
 	res, err := ClusterSoakSweep([]int{1, 2, 4}, []int{1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Fingerprint != want[r.Machines] {
+			t.Errorf("machines=%d fingerprint differs from BENCH_cluster.json:\n  got  %s\n  want %s", r.Machines, r.Fingerprint, want[r.Machines])
+		}
 	}
 	last := res[len(res)-1]
 	if last.Speedup < 2.5 {

@@ -2,8 +2,8 @@
 // global manager of the paper's Fig 6 as a boss/worker control plane. Users
 // register functions with their profiles once; the boss routes each request
 // to a machine with at least one of the required PU kinds (§4.1), deploying
-// the function there on first use, and places function chains on one
-// machine whenever possible, for communication locality (§4.1).
+// the function there on first use, and places a whole function chain on one
+// machine, for communication locality (§4.1).
 //
 // A Boss owns N simulated machines, each a full heterogeneous computer —
 // its own hw.Machine, XPU shim, and Molecule runtime — living on its own
@@ -15,6 +15,9 @@
 // conservative windowed driver at any OS worker count with byte-identical
 // results.
 //
+// Every machine is built from one hw.Config, so the fleet has one set of
+// PU kinds and a function the fleet can run can run on any machine.
+//
 // Routing:
 //   - warm-instance affinity: a rendezvous hash over the live eligible
 //     machines gives every function a stable home, so repeat invocations
@@ -24,17 +27,17 @@
 //     erroring;
 //   - central queue: when every eligible machine is saturated, requests
 //     queue FIFO at the boss and drain as completions free slots;
-//   - chains: placed on one machine whenever possible (the interconnect's
-//     ms-scale base latency dwarfs the µs-scale intra-machine links — the
-//     hw model's asymmetry), and only split into contiguous segments
-//     across machines when no single machine has every required PU kind.
+//   - chains: placed whole on the affinity home of their first function
+//     (the interconnect's ms-scale base latency dwarfs the µs-scale
+//     intra-machine links — the hw model's asymmetry). The machine places
+//     the functions on its PUs, crossing PUs over nIPC when no one PU runs
+//     the whole chain (§4.3).
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
@@ -44,35 +47,27 @@ import (
 	"repro/internal/workloads"
 )
 
-// Message sizes for boss↔machine interconnect traffic: a request envelope,
-// a reply envelope, and a chain's intermediate payload handed from one
-// machine to the next.
+// Message sizes for boss↔machine interconnect traffic: a request envelope
+// and a reply envelope.
 const (
-	requestBytes      = 1 << 10
-	replyBytes        = 1 << 9
-	intermediateBytes = 1 << 12
+	requestBytes = 1 << 10
+	replyBytes   = 1 << 9
 )
 
-// kindMask is a bitset of hw.PUKind values — precomputed once per machine
+// kindMask is a bitset of hw.PUKind values — precomputed once for the fleet
 // and once per registration so routing tests eligibility with a single AND
-// instead of building a map per machine per request.
+// instead of building a map per request.
 type kindMask uint32
 
-func maskOf(kinds ...hw.PUKind) kindMask {
-	var m kindMask
-	for _, k := range kinds {
-		m |= 1 << uint(k)
-	}
-	return m
-}
+func maskOf(k hw.PUKind) kindMask { return 1 << uint(k) }
 
-func (m kindMask) has(k hw.PUKind) bool { return m&(1<<uint(k)) != 0 }
+func (m kindMask) has(k hw.PUKind) bool { return m&maskOf(k) != 0 }
 
 // machineKinds returns the bitset of PU kinds present on a machine.
 func machineKinds(m *hw.Machine) kindMask {
 	var mask kindMask
 	for _, pu := range m.PUs() {
-		mask |= 1 << uint(pu.Kind)
+		mask |= maskOf(pu.Kind)
 	}
 	return mask
 }
@@ -102,7 +97,6 @@ type Node struct {
 	HW     *hw.Machine
 	RT     *molecule.Runtime
 
-	kinds    kindMask
 	capacity int // boot-time snapshot of RT.Capacity()
 
 	// Boss-side scheduling state.
@@ -174,7 +168,7 @@ type BossConfig struct {
 }
 
 // reply carries a completed request's outcome back to the submitting
-// client process.
+// client process: res for a single invoke, cres for a chain.
 type reply struct {
 	res     molecule.Result
 	cres    molecule.ChainResult
@@ -182,20 +176,13 @@ type reply struct {
 	err     error
 }
 
-// chainSeg is one contiguous run of chain functions placed on one node.
-type chainSeg struct {
-	node  *Node
-	names []string
-}
-
-// request is one unit of routed work. Boss-side fields only; execution
-// state crosses domains by value inside interconnect closures.
+// request is one unit of routed work: a single invoke of fn, or a chain
+// when chain is non-nil. Boss-side fields only; execution state crosses
+// domains by value inside interconnect closures.
 type request struct {
 	fn    string
 	opts  molecule.InvokeOptions
 	chain []string
-	copts molecule.ChainOptions
-	plan  []chainSeg
 
 	attempts int // failover budget: distinct placements tried
 	requeues int // capacity-requeue budget (see maxRequeues)
@@ -209,6 +196,8 @@ type request struct {
 // pathological cycle into a visible error instead of a livelock.
 const maxRequeues = 64
 
+// slots is the request's charge against a machine's admission window: one
+// per function it runs.
 func (r *request) slots() int {
 	if r.chain != nil {
 		return len(r.chain)
@@ -226,6 +215,7 @@ type Boss struct {
 	Registry *workloads.Registry
 
 	nodes    []*Node
+	kinds    kindMask // PU kinds of every machine (one hw.Config)
 	funcs    map[string]*registration
 	inflight int
 
@@ -236,7 +226,8 @@ type Boss struct {
 
 // NewBoss builds a cluster of cfg.Machines worker machines, boots every
 // machine's runtime (running the group to quiescence once), and snapshots
-// each machine's capacity and PU kinds into the boss's routing state.
+// each machine's capacity and the fleet's PU kinds into the boss's routing
+// state.
 func NewBoss(cfg BossConfig) (*Boss, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("cluster: boss needs at least 1 machine, got %d", cfg.Machines)
@@ -286,9 +277,9 @@ func NewBoss(cfg BossConfig) (*Boss, error) {
 		if bootErrs[i] != nil {
 			return nil, fmt.Errorf("cluster: machine %d boot: %w", i, bootErrs[i])
 		}
-		n.kinds = machineKinds(n.HW)
 		n.capacity = n.RT.Capacity()
 	}
+	b.kinds = machineKinds(b.nodes[0].HW)
 	return b, nil
 }
 
@@ -316,9 +307,9 @@ func (b *Boss) Run(workers int) sim.Time {
 	return b.Sharded.Run(workers)
 }
 
-// Register records a function with the boss and pushes its kind-filtered
-// profile list to every machine. Call before Run — registrations are
-// setup-time state shared with the machine domains.
+// Register records a function with the boss and pushes the profiles the
+// fleet's PU kinds can run to every machine. Call before Run —
+// registrations are setup-time state shared with the machine domains.
 func (b *Boss) Register(funcName string, profiles ...molecule.Profile) error {
 	if _, err := b.Registry.Get(funcName); err != nil {
 		return err
@@ -327,18 +318,16 @@ func (b *Boss) Register(funcName string, profiles ...molecule.Profile) error {
 		profiles = []molecule.Profile{molecule.DefaultProfile(hw.CPU)}
 	}
 	var mask kindMask
+	var local []molecule.Profile
 	for _, pr := range profiles {
 		mask |= maskOf(pr.Kind)
+		if b.kinds.has(pr.Kind) {
+			local = append(local, pr)
+		}
 	}
 	b.funcs[funcName] = &registration{profiles: profiles, mask: mask}
-	for _, n := range b.nodes {
-		var local []molecule.Profile
-		for _, pr := range profiles {
-			if n.kinds.has(pr.Kind) {
-				local = append(local, pr)
-			}
-		}
-		if len(local) > 0 {
+	if len(local) > 0 {
+		for _, n := range b.nodes {
 			n.regs[funcName] = local
 		}
 	}
@@ -391,7 +380,7 @@ func rendezvous(fn string, domain int) uint64 {
 
 // eligibleFor reports whether the node can run fn's registration at all.
 func (b *Boss) eligibleFor(n *Node, mask kindMask) bool {
-	return !n.draining && !n.down && n.kinds&mask != 0
+	return !n.draining && !n.down && b.kinds&mask != 0
 }
 
 // routeOne picks the node for a single-function request: affinity home if
@@ -436,151 +425,57 @@ func (b *Boss) routeOne(fn string) (*Node, bool, error) {
 	return nil, false, nil // all saturated: queue
 }
 
-// planChain places a chain: one machine whenever some eligible machine
-// supports every function (the interconnect's base latency is ~10³× the
-// intra-machine links, so locality always wins — the hw asymmetry made
-// explicit), otherwise contiguous maximal segments, each on the machine
-// whose intra-machine host links reach the segment's PU kinds cheapest
-// (hw.Machine.HostLinkLat), tie-broken by load then domain order.
-func (b *Boss) planChain(names []string) ([]chainSeg, error) {
-	masks := make([]kindMask, len(names))
+// routeChain picks the machine for a whole chain: the rendezvous home of
+// its first function among live machines with room, else among all live
+// machines — a chain never steals, and locality still beats spreading when
+// the home is saturated. The interconnect's base latency is ~10³× the
+// intra-machine links, so the chain always runs on one machine.
+func (b *Boss) routeChain(names []string) (*Node, error) {
+	bad := -1
 	for i, fn := range names {
 		r, ok := b.funcs[fn]
 		if !ok {
 			return nil, fmt.Errorf("cluster: function %q not registered", fn)
 		}
-		masks[i] = r.mask
-	}
-	// Locality first: the affinity-preferred machine among those eligible
-	// for the whole chain.
-	if n := b.wholeChainHome(names, masks); n != nil {
-		return []chainSeg{{node: n, names: names}}, nil
-	}
-	// Split: greedy maximal contiguous segments. Each segment extends
-	// while any live machine supports all its functions; every cut pays
-	// one interconnect hop.
-	var plan []chainSeg
-	for start := 0; start < len(names); {
-		end := start
-		var candidates []*Node
-		for end < len(names) {
-			next := b.segmentHosts(masks[start : end+1])
-			if len(next) == 0 {
-				break
-			}
-			candidates = append(candidates[:0], next...)
-			end++
+		if bad < 0 && b.kinds&r.mask == 0 {
+			bad = i
 		}
-		if end == start {
-			return nil, fmt.Errorf("cluster: no machine can run %q", names[start])
-		}
-		plan = append(plan, chainSeg{node: b.bestSegmentHost(candidates, masks[start:end]), names: names[start:end]})
-		start = end
 	}
-	return plan, nil
-}
-
-// wholeChainHome returns the rendezvous-preferred machine eligible for
-// every chain function, preferring machines with room, or nil.
-func (b *Boss) wholeChainHome(names []string, masks []kindMask) *Node {
+	if bad >= 0 {
+		return nil, fmt.Errorf("cluster: no machine can run %q", names[bad])
+	}
 	var home, fallback *Node
 	var homeScore, fbScore uint64
 	for _, n := range b.nodes {
 		if n.draining || n.down {
 			continue
 		}
-		ok := true
-		for _, m := range masks {
-			if n.kinds&m == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
 		s := rendezvous(names[0], n.Domain)
 		if fallback == nil || s > fbScore {
 			fallback, fbScore = n, s
 		}
-		if !n.hasRoom() {
-			continue
-		}
-		if home == nil || s > homeScore {
+		if n.hasRoom() && (home == nil || s > homeScore) {
 			home, homeScore = n, s
 		}
 	}
-	if home != nil {
-		return home
+	if home == nil {
+		home = fallback
 	}
-	return fallback // saturated everywhere: locality still beats splitting
+	if home == nil {
+		return nil, fmt.Errorf("cluster: no machine can run %q", names[0])
+	}
+	return home, nil
 }
 
-// segmentHosts returns the live machines supporting every mask.
-func (b *Boss) segmentHosts(masks []kindMask) []*Node {
-	var out []*Node
-	for _, n := range b.nodes {
-		if n.draining || n.down {
-			continue
-		}
-		ok := true
-		for _, m := range masks {
-			if n.kinds&m == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, n)
-		}
+// route picks req's machine: routeOne for a single invoke, routeChain for a
+// chain. A nil node with a nil error means every eligible machine is
+// saturated and the request waits in the central queue.
+func (b *Boss) route(req *request) (n *Node, stolen bool, err error) {
+	if req.chain == nil {
+		return b.routeOne(req.fn)
 	}
-	return out
-}
-
-// bestSegmentHost scores candidate hosts for a chain segment by the sum of
-// their cheapest host→kind link latencies over the segment's required
-// kinds — the intra-machine side of the asymmetry — then by load, then by
-// domain order (determinism).
-func (b *Boss) bestSegmentHost(candidates []*Node, masks []kindMask) *Node {
-	best := candidates[0]
-	bestCost, bestLoad := b.segmentCost(best, masks), nodeLoad(best)
-	for _, n := range candidates[1:] {
-		c, l := b.segmentCost(n, masks), nodeLoad(n)
-		if c < bestCost || (c == bestCost && l < bestLoad) {
-			best, bestCost, bestLoad = n, c, l
-		}
-	}
-	return best
-}
-
-func nodeLoad(n *Node) float64 {
-	if n.capacity == 0 {
-		return 1
-	}
-	return float64(n.inflight) / float64(n.capacity)
-}
-
-// segmentCost sums the node's cheapest host-link latency to each required
-// kind mask (taking the cheapest kind the mask admits on this machine).
-func (b *Boss) segmentCost(n *Node, masks []kindMask) time.Duration {
-	var total time.Duration
-	for _, m := range masks {
-		best, found := time.Duration(0), false
-		for _, pu := range n.HW.PUs() {
-			if !m.has(pu.Kind) {
-				continue
-			}
-			if lat, ok := n.HW.HostLinkLat(pu.Kind); ok {
-				if !found || lat < best {
-					best, found = lat, true
-				}
-			}
-		}
-		if found {
-			total += best
-		}
-	}
-	return total
+	n, err = b.routeChain(req.chain)
+	return n, false, err
 }
 
 // Invoke submits one request from a client process on the boss domain and
@@ -593,47 +488,39 @@ func (b *Boss) Invoke(p *sim.Proc, funcName string, opts molecule.InvokeOptions)
 
 // InvokeDetailed is Invoke plus the worker index that served the request.
 func (b *Boss) InvokeDetailed(p *sim.Proc, funcName string, opts molecule.InvokeOptions) (molecule.Result, int, error) {
-	ingress(p) // client → boss network hop
-	req := &request{fn: funcName, opts: opts, done: sim.NewChan[reply](b.Env, 1)}
-	if err := b.submit(req); err != nil {
-		return molecule.Result{}, -1, err
-	}
-	rep, _ := req.done.Recv(p)
-	ingress(p) // boss → client
+	rep := b.call(p, &request{fn: funcName, opts: opts})
 	return rep.res, rep.machine, rep.err
 }
 
-// InvokeChain submits a chain, placed for locality and split across
-// machines only when no single machine can run it. Satisfies
+// InvokeChain submits a chain, run whole on one machine, which places its
+// functions on its own PUs (opts is not consulted). Satisfies
 // loadgen.Invoker.
 func (b *Boss) InvokeChain(p *sim.Proc, names []string, opts molecule.ChainOptions) (molecule.ChainResult, error) {
 	if len(names) == 0 {
 		return molecule.ChainResult{}, fmt.Errorf("cluster: empty chain")
 	}
+	rep := b.call(p, &request{chain: names})
+	return rep.cres, rep.err
+}
+
+// call submits req from client process p and blocks until its reply,
+// charging the client↔boss network hop each way.
+func (b *Boss) call(p *sim.Proc, req *request) reply {
 	ingress(p)
-	req := &request{chain: names, copts: opts, done: sim.NewChan[reply](b.Env, 1)}
+	req.done = sim.NewChan[reply](b.Env, 1)
 	if err := b.submit(req); err != nil {
-		return molecule.ChainResult{}, err
+		return reply{machine: -1, err: err}
 	}
 	rep, _ := req.done.Recv(p)
 	ingress(p)
-	return rep.cres, rep.err
+	return rep
 }
 
 // submit routes a request or queues it. Boss-domain only. A non-nil error
 // means the request can never run (unregistered, or no live machine has
 // the kinds).
 func (b *Boss) submit(req *request) error {
-	if req.chain != nil {
-		plan, err := b.planChain(req.chain)
-		if err != nil {
-			return err
-		}
-		req.plan = plan
-		b.dispatchChain(req)
-		return nil
-	}
-	n, stolen, err := b.routeOne(req.fn)
+	n, stolen, err := b.route(req)
 	if err != nil {
 		return err
 	}
@@ -646,11 +533,7 @@ func (b *Boss) submit(req *request) error {
 		b.pump()
 		return nil
 	}
-	if stolen {
-		n.stolen++
-		b.stolen++
-	}
-	b.dispatchOne(req, n)
+	b.dispatch(req, n, stolen)
 	return nil
 }
 
@@ -661,18 +544,26 @@ func (b *Boss) enqueue(req *request) {
 	}
 }
 
-// dispatchOne sends a single-function request to node n over the
-// interconnect.
-func (b *Boss) dispatchOne(req *request, n *Node) {
-	n.inflight++
-	b.inflight++
+// dispatch charges req against node n's admission window and sends it
+// there over the interconnect; the machine runs it and replies to the boss.
+func (b *Boss) dispatch(req *request, n *Node, stolen bool) {
+	if stolen {
+		n.stolen++
+		b.stolen++
+	}
+	n.inflight += req.slots()
+	b.inflight += req.slots()
 	//lint:owned request handoff: req travels with the message and is next touched only by the destination node's exec callback; b's fields are mutated only by deliveries on the boss domain
 	b.IC.Send(b.Env, n.Domain, requestBytes, func() {
-		n.Env.Spawn("exec-"+req.fn, func(wp *sim.Proc) {
-			res, err := n.invokeLocal(wp, req.fn, req.opts)
-			//lint:owned reply to the boss: res/err are finalized before the send and b mutates its own state only on delivery in its domain
+		name := "chain"
+		if req.chain == nil {
+			name = "exec-" + req.fn
+		}
+		n.Env.Spawn(name, func(wp *sim.Proc) {
+			rep := n.run(wp, req)
+			//lint:owned reply to the boss: rep is finalized before the send and b mutates its own state only on delivery in its domain
 			b.IC.Send(n.Env, 0, replyBytes, func() {
-				b.completeOne(req, n, res, err)
+				b.complete(req, n, rep)
 			})
 		})
 	})
@@ -706,36 +597,50 @@ func (n *Node) awaitLocal(wp *sim.Proc) bool {
 	return true
 }
 
-// attemptLocal wraps one RT attempt with the admission bookkeeping: track
-// active execs, bump the epoch on success, and wake parked requests after
-// every attempt (success frees an instance; failure lets waiters re-check
-// the give-up guard).
-func attemptLocal[T any](n *Node, call func() (T, error)) (T, error) {
+// attemptLocal runs req once on the local runtime — RT.Invoke for a single,
+// RT.InvokeChainWithPolicy under chain affinity for a chain — with the
+// admission bookkeeping: track active execs, bump the epoch on success, and
+// wake parked requests after every attempt (success frees an instance;
+// failure lets waiters re-check the give-up guard).
+func (n *Node) attemptLocal(wp *sim.Proc, req *request) (rep reply) {
 	n.active++
-	res, err := call()
+	if req.chain == nil {
+		rep.res, rep.err = n.RT.Invoke(wp, req.fn, req.opts)
+	} else {
+		rep.cres, rep.err = n.RT.InvokeChainWithPolicy(wp, req.chain, molecule.PlaceChainAffinity)
+	}
 	n.active--
-	if err == nil {
+	if rep.err == nil {
 		n.epoch++
 	}
 	n.wakeLocal()
-	return res, err
+	return rep
 }
 
-// invokeLocal runs one function on the node: machine-side deploy-on-first-
-// use (deduplicated across concurrent requests), then the local runtime,
-// parking on the machine's admission queue while it is at capacity.
-func (n *Node) invokeLocal(wp *sim.Proc, fn string, opts molecule.InvokeOptions) (molecule.Result, error) {
-	if err := n.ensureDeployedLocal(wp, fn); err != nil {
-		return molecule.Result{}, err
+// run executes req on the node: machine-side deploy-on-first-use of every
+// function it names, then the local runtime, parking on the machine's
+// admission queue while it is at capacity.
+func (n *Node) run(wp *sim.Proc, req *request) reply {
+	failed := func(err error) reply { return reply{machine: n.ID(), err: err} }
+	if req.chain == nil {
+		if err := n.ensureDeployedLocal(wp, req.fn); err != nil {
+			return failed(err)
+		}
+	}
+	for _, fn := range req.chain {
+		if err := n.ensureDeployedLocal(wp, fn); err != nil {
+			return failed(err)
+		}
 	}
 	for {
-		res, err := attemptLocal(n, func() (molecule.Result, error) {
-			return n.RT.Invoke(wp, fn, opts)
-		})
-		if err != nil && errors.Is(err, molecule.ErrNoCapacity) && n.awaitLocal(wp) {
-			continue
+		rep := n.attemptLocal(wp, req)
+		if rep.err == nil {
+			rep.machine = n.ID()
+			return rep
 		}
-		return res, err
+		if !errors.Is(rep.err, molecule.ErrNoCapacity) || !n.awaitLocal(wp) {
+			return failed(rep.err)
+		}
 	}
 }
 
@@ -767,113 +672,42 @@ func (n *Node) ensureDeployedLocal(wp *sim.Proc, fn string) error {
 	}
 }
 
-// dispatchChain charges every planned node's inflight window up front and
-// starts segment 0; segments hop machine→machine directly over the
-// interconnect, and only the final segment (or the first error) reports
-// back to the boss.
-func (b *Boss) dispatchChain(req *request) {
-	for _, seg := range req.plan {
-		seg.node.inflight += len(seg.names)
-		b.inflight += len(seg.names)
-	}
-	first := req.plan[0].node
-	//lint:owned chain kickoff: req ownership moves to segment 0's machine with the message; the boss touches it again only in the completion reply
-	b.IC.Send(b.Env, first.Domain, requestBytes, func() {
-		b.execSegment(req, 0, molecule.ChainResult{})
-	})
-}
-
-// execSegment runs on req.plan[idx].node's domain: execute the segment
-// locally, then either hop to the next segment's machine (charging the
-// intermediate transfer on the chain's latency) or reply to the boss.
-func (b *Boss) execSegment(req *request, idx int, acc molecule.ChainResult) {
-	seg := req.plan[idx]
-	n := seg.node
-	n.Env.Spawn("chainseg", func(wp *sim.Proc) {
-		for _, fn := range seg.names {
-			if err := n.ensureDeployedLocal(wp, fn); err != nil {
-				//lint:owned chain reply: acc and req are dead on the sending machine after this send; the boss consumes them on delivery in its own domain
-				b.IC.Send(n.Env, 0, replyBytes, func() { b.completeChain(req, n, acc, err) })
-				return
-			}
-		}
-		var res molecule.ChainResult
-		var err error
-		for {
-			res, err = attemptLocal(n, func() (molecule.ChainResult, error) {
-				return n.RT.InvokeChainWithPolicy(wp, seg.names, molecule.PlaceChainAffinity)
-			})
-			if err != nil && errors.Is(err, molecule.ErrNoCapacity) && n.awaitLocal(wp) {
-				continue
-			}
-			break
-		}
-		if err != nil {
-			//lint:owned chain reply: acc and req are dead on the sending machine after this send; the boss consumes them on delivery in its own domain
-			b.IC.Send(n.Env, 0, replyBytes, func() { b.completeChain(req, n, acc, err) })
-			return
-		}
-		acc.Total += res.Total
-		acc.EdgeLatency = append(acc.EdgeLatency, res.EdgeLatency...)
-		acc.ExecTotal += res.ExecTotal
-		acc.ColdStarts += res.ColdStarts
-		if idx+1 == len(req.plan) {
-			//lint:owned chain reply: acc and req are dead on the sending machine after this send; the boss consumes them on delivery in its own domain
-			b.IC.Send(n.Env, 0, replyBytes, func() { b.completeChain(req, n, acc, nil) })
-			return
-		}
-		// Hand the intermediate result to the next segment's machine: one
-		// interconnect hop, charged on the chain's own latency.
-		hop := b.IC.TransferTime(intermediateBytes)
-		acc.Total += hop
-		acc.EdgeLatency = append(acc.EdgeLatency, hop)
-		next := req.plan[idx+1].node
-		//lint:owned segment hop: acc and req move to the next machine with the message; the sending segment never touches them again
-		b.IC.Send(n.Env, next.Domain, intermediateBytes, func() {
-			b.execSegment(req, idx+1, acc)
-		})
-	})
-}
-
 // retryable reports an error class the boss handles by failing the machine
 // over: the runtime exhausted recovery (ErrUnavailable) or the PU is dead.
 func retryable(err error) bool {
 	return errors.Is(err, molecule.ErrUnavailable) || errors.Is(err, faults.ErrPUDown)
 }
 
-// completeOne finishes a single-function request on the boss domain
-// (scheduler context — never blocks): failover on machine death, requeue
+// complete finishes a request on the boss domain (scheduler context —
+// never blocks): release n's window, fail over on machine death, requeue
 // on capacity races, reply otherwise; then pump the queue.
-func (b *Boss) completeOne(req *request, n *Node, res molecule.Result, err error) {
-	n.inflight--
-	b.inflight--
+func (b *Boss) complete(req *request, n *Node, rep reply) {
+	n.inflight -= req.slots()
+	b.inflight -= req.slots()
 	switch {
-	case err != nil && retryable(err) && req.attempts < len(b.nodes):
+	case rep.err != nil && retryable(rep.err) && req.attempts < len(b.nodes):
 		// The machine is unhealthy: mark it down and try the request
 		// elsewhere. Readmit() re-admits after a revive.
 		n.down = true
 		req.attempts++
-		if rerr := b.resubmitOne(req); rerr != nil {
-			req.done.TrySend(reply{machine: n.ID(), err: err})
+		if rerr := b.resubmit(req); rerr != nil {
+			req.done.TrySend(rep)
 		}
-	case err != nil && errors.Is(err, molecule.ErrNoCapacity) && req.requeues < maxRequeues:
+	case rep.err != nil && errors.Is(rep.err, molecule.ErrNoCapacity) && req.requeues < maxRequeues:
 		// Admission raced a cold-start burst on the machine: park the
 		// request centrally; completions pump it back out.
 		req.requeues++
 		b.enqueue(req)
-	case err != nil:
-		n.served++
-		req.done.TrySend(reply{machine: n.ID(), err: err})
 	default:
 		n.served++
-		req.done.TrySend(reply{res: res, machine: n.ID()})
+		req.done.TrySend(rep)
 	}
 	b.pump()
 }
 
-// resubmitOne re-routes a failed-over request away from down machines.
-func (b *Boss) resubmitOne(req *request) error {
-	n, stolen, err := b.routeOne(req.fn)
+// resubmit re-routes a failed-over request away from down machines.
+func (b *Boss) resubmit(req *request) error {
+	n, stolen, err := b.route(req)
 	if err != nil {
 		return err
 	}
@@ -881,82 +715,25 @@ func (b *Boss) resubmitOne(req *request) error {
 		b.enqueue(req)
 		return nil
 	}
-	if stolen {
-		n.stolen++
-		b.stolen++
-	}
-	b.dispatchOne(req, n)
+	b.dispatch(req, n, stolen)
 	return nil
 }
 
-// completeChain finishes a chain request: release every planned node's
-// window, then failover/reply like completeOne.
-func (b *Boss) completeChain(req *request, n *Node, acc molecule.ChainResult, err error) {
-	for _, seg := range req.plan {
-		seg.node.inflight -= len(seg.names)
-		b.inflight -= len(seg.names)
-	}
-	switch {
-	case err != nil && retryable(err) && req.attempts < len(b.nodes):
-		n.down = true
-		req.attempts++
-		if plan, perr := b.planChain(req.chain); perr == nil {
-			req.plan = plan
-			b.dispatchChain(req)
-		} else {
-			req.done.TrySend(reply{machine: n.ID(), err: err})
-		}
-	case err != nil && errors.Is(err, molecule.ErrNoCapacity) && req.requeues < maxRequeues:
-		req.requeues++
-		b.enqueue(req)
-	case err != nil:
-		req.done.TrySend(reply{machine: n.ID(), err: err})
-	default:
-		n.served++
-		req.done.TrySend(reply{cres: acc, machine: n.ID()})
-	}
-	b.pump()
-}
-
-// pump drains the central queue while machines have room. When the queue
-// is non-empty but nothing is inflight and nothing has room, the queued
+// pump drains the central queue while machines have room; a chain leaves
+// the queue only when its home machine has room. When the queue is
+// non-empty but nothing is inflight and nothing has room, the queued
 // requests can never be served — fail them rather than deadlock.
 func (b *Boss) pump() {
 	for len(b.queue) > 0 {
 		req := b.queue[0]
-		var err error
-		var routed bool
-		if req.chain != nil {
-			// Chains re-plan at pump time (machines may have changed).
-			if plan, perr := b.planChain(req.chain); perr != nil {
-				err = perr
-			} else if head := plan[0].node; head.hasRoom() {
-				b.queue = b.queue[1:]
-				req.plan = plan
-				b.dispatchChain(req)
-				routed = true
-			}
-		} else {
-			var n *Node
-			var stolen bool
-			n, stolen, err = b.routeOne(req.fn)
-			if err == nil && n != nil {
-				b.queue = b.queue[1:]
-				if stolen {
-					n.stolen++
-					b.stolen++
-				}
-				b.dispatchOne(req, n)
-				routed = true
-			}
-		}
+		n, stolen, err := b.route(req)
 		if err != nil {
 			// The request became unservable (e.g. its only machines died).
 			b.queue = b.queue[1:]
 			req.done.TrySend(reply{machine: -1, err: err})
 			continue
 		}
-		if !routed {
+		if n == nil || !n.hasRoom() {
 			if b.inflight == 0 {
 				// Nothing running, nothing admissible: fail the whole queue
 				// deterministically rather than strand the clients.
@@ -967,5 +744,7 @@ func (b *Boss) pump() {
 			}
 			return
 		}
+		b.queue = b.queue[1:]
+		b.dispatch(req, n, stolen)
 	}
 }

@@ -19,15 +19,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Input bounds for invokes with body=1, which run the function's real Go
-// body on the host while the server's request lock is held. maxBodyBytes
-// admits the largest default payload of any body (dd's 1 MiB); maxBodyN
-// bounds matrix and image dimensions, whose bodies grow as N² or N³.
-// Without body=1 sizes only feed the cost model and need only be
-// non-negative.
+// Input bounds. Invokes with body=1 run the function's real Go body on the
+// host while the server's request lock is held: maxBodyBytes admits the
+// largest default payload of any body (dd's 1 MiB); maxBodyN bounds matrix
+// and image dimensions, whose bodies grow as N² or N³. Without body=1 sizes
+// only feed the cost model and need only be non-negative. maxChainLen
+// bounds /chain, whose simulation also holds the lock.
 const (
 	maxBodyBytes = 1 << 20
 	maxBodyN     = 1 << 10
+	maxChainLen  = 1 << 10
 )
 
 // backend is what the shared handlers drive: one simulated machine
@@ -92,6 +93,10 @@ func handleForms(mux *http.ServeMux, b backend) {
 			return
 		}
 		fns := strings.Split(raw, ",")
+		if len(fns) > maxChainLen {
+			fail(w, fmt.Errorf("httpd: chain of %d functions above the limit %d", len(fns), maxChainLen))
+			return
+		}
 		res, err := b.chain(fns)
 		if err != nil {
 			fail(w, err)

@@ -1,8 +1,10 @@
 package httpd
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -45,9 +47,10 @@ func serveQuery(h http.Handler, path, query string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestInvokeBoundsInputs: negative sizes or pu, and body=1 sizes above the
-// limits, are the client's error on both servers, and the server goes on
-// serving. The limits themselves are admitted.
+// TestInvokeBoundsInputs: negative sizes or pu, body=1 sizes above the
+// limits and chains longer than maxChainLen are the client's error on both
+// servers, and the server goes on serving. The size limits themselves are
+// admitted.
 func TestInvokeBoundsInputs(t *testing.T) {
 	for name, h := range formServers(t) {
 		for _, tc := range []struct {
@@ -69,6 +72,13 @@ func TestInvokeBoundsInputs(t *testing.T) {
 			if rec := serveQuery(h, "/invoke", validInvoke); rec.Code != http.StatusOK {
 				t.Errorf("%s: valid invoke after %q = %d %s", name, tc.query, rec.Code, rec.Body)
 			}
+		}
+		long := "fns=" + strings.Repeat("helloworld,", maxChainLen) + "helloworld"
+		if rec := serveQuery(h, "/chain", long); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "above the limit") {
+			t.Errorf("%s: /chain of %d functions = %d %s, want 400 naming the limit", name, maxChainLen+1, rec.Code, rec.Body)
+		}
+		if rec := serveQuery(h, "/invoke", validInvoke); rec.Code != http.StatusOK {
+			t.Errorf("%s: valid invoke after an overlong chain = %d %s", name, rec.Code, rec.Body)
 		}
 	}
 }
@@ -101,4 +111,27 @@ func FuzzInvokeForm(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMixedKindChain: a chain of a CPU-only function feeding a DPU-only
+// function runs on both servers, with its one edge crossing PUs.
+func TestMixedKindChain(t *testing.T) {
+	for name, h := range formServers(t) {
+		for _, q := range []string{"fn=pyaes&profiles=cpu", "fn=matmul&profiles=dpu"} {
+			if rec := serveQuery(h, "/deploy", q); rec.Code != http.StatusOK {
+				t.Fatalf("%s: deploy %s: %d %s", name, q, rec.Code, rec.Body)
+			}
+		}
+		rec := serveQuery(h, "/chain", "fns=pyaes,matmul")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: /chain?fns=pyaes,matmul = %d %s", name, rec.Code, rec.Body)
+		}
+		var reply ChainResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if len(reply.EdgeMs) != 1 || reply.EdgeMs[0] <= 0 {
+			t.Errorf("%s: chain edges %v ms, want one cross-PU edge", name, reply.EdgeMs)
+		}
+	}
 }

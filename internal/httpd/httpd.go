@@ -203,7 +203,7 @@ func (s *Server) invoke(fn string, opts molecule.InvokeOptions) (res molecule.Re
 }
 
 func (s *Server) chain(fns []string) (res molecule.ChainResult, err error) {
-	s.drive(func(p *sim.Proc) { res, err = s.rt.InvokeChain(p, fns, molecule.ChainOptions{}) })
+	s.drive(func(p *sim.Proc) { res, err = s.rt.InvokeChainWithPolicy(p, fns, molecule.PlaceChainAffinity) })
 	return res, err
 }
 

@@ -79,36 +79,6 @@ func (ic *Interconnect) SendAfter(from *sim.Env, to int, n int, extra time.Durat
 	ic.sh.Send(from, to, ic.link.TransferTime(n)+extra, fn)
 }
 
-// HostLinkLat returns the base latency of the machine's host→k link — the
-// intra-machine side of the interconnect-vs-network asymmetry a cluster
-// placer weighs: reaching a PU kind inside the machine costs the host
-// link's µs-scale BaseLat (PCIe RDMA/DMA), while reaching another machine
-// costs the interconnect's ms-scale BaseLat. Returns (0, true) for the
-// host's own kind and (0, false) when the machine has no PU of kind k.
-func (m *Machine) HostLinkLat(k PUKind) (time.Duration, bool) {
-	if len(m.pus) == 0 {
-		return 0, false
-	}
-	host := m.pus[0]
-	if k == host.Kind {
-		return 0, true
-	}
-	best, found := time.Duration(0), false
-	for _, pu := range m.pus {
-		if pu.Kind != k {
-			continue
-		}
-		l, ok := m.links[[2]PUID{host.ID, pu.ID}]
-		if !ok {
-			continue
-		}
-		if !found || l.BaseLat < best {
-			best, found = l.BaseLat, true
-		}
-	}
-	return best, found
-}
-
 // MinBaseLat returns the smallest base latency over the machine's installed
 // non-local links — the machine-internal lookahead floor. A sharded
 // simulation that partitions at sub-machine granularity (one domain per PU

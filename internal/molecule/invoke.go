@@ -327,11 +327,12 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	if err := rt.remoteCommand(p, n.pu.ID, parent); err != nil {
 		return nil, err
 	}
-	if !rt.Opts.UseCfork && rt.Opts.Startup == StartupSnapshot {
+	if rt.Opts.Startup == StartupSnapshot {
 		return rt.restoreFromSnapshot(p, d, n)
 	}
 	zygote := rt.zygoteOn()
-	if rt.Opts.UseCfork {
+	cfork := rt.Opts.Startup == StartupCfork
+	if cfork {
 		// Template boot is a one-time cost per (PU, language), off the
 		// per-request critical path in steady state; it is charged here on
 		// first use.
@@ -381,7 +382,7 @@ func (rt *Runtime) coldStart(p *sim.Proc, d *Deployment, pin hw.PUID, parent *ob
 	// Dedicated templates preload each hot function's dependencies (§4.2),
 	// keeping the import off the critical path; plain boots — and cforks
 	// from generic templates — pay it.
-	if !rt.Opts.UseCfork || (rt.Opts.GenericTemplates && !zygote) {
+	if !cfork || (rt.Opts.GenericTemplates && !zygote) {
 		p.Sleep(n.pu.StartupTime(d.Fn.DepImport))
 	}
 	n.liveCount++

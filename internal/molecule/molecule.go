@@ -33,11 +33,11 @@ import (
 type StartupMode int
 
 const (
+	// StartupPlain boots a fresh runtime per instance (the baseline path).
+	StartupPlain StartupMode = iota
 	// StartupCfork forks instances from language templates (§4.2, the
 	// paper's contribution).
-	StartupCfork StartupMode = iota
-	// StartupPlain boots a fresh runtime per instance (the baseline path).
-	StartupPlain
+	StartupCfork
 	// StartupSnapshot restores instances from per-function snapshots — the
 	// Replayable/FireCracker-class alternative of the Fig 15 design space.
 	StartupSnapshot
@@ -56,12 +56,8 @@ func (m StartupMode) String() string {
 
 // Options configure a Molecule runtime.
 type Options struct {
-	// UseCfork enables fork-based startup from language templates (§4.2).
-	// When false, Startup selects the alternative mechanism. Retained as a
-	// boolean for compatibility: UseCfork=true forces StartupCfork.
-	UseCfork bool
-	// Startup picks the cold-start mechanism when UseCfork is false:
-	// StartupPlain (default zero value) or StartupSnapshot.
+	// Startup picks the cold-start mechanism: StartupPlain (the zero
+	// value), StartupCfork (§4.2, DefaultOptions) or StartupSnapshot.
 	Startup StartupMode
 	// CpusetMutexPatch applies the kernel cpuset patch (Fig 11a). The
 	// paper's server-side results (Fig 14) run without it.
@@ -85,7 +81,7 @@ type Options struct {
 	// package-aware zygote forest (SOCK/Forklift lineage): cold starts fork
 	// from the deepest pre-warmed template covering the function's package
 	// manifest and pay only the residual imports plus the function's
-	// private tail. Requires UseCfork; off (the default) leaves the flat
+	// private tail. Requires StartupCfork; off (the default) leaves the flat
 	// cfork path literally untouched.
 	ZygoteTree bool
 	// ZygoteBudgetMB caps the summed residual pages of specialized
@@ -113,7 +109,7 @@ type Options struct {
 // "Molecule".
 func DefaultOptions() Options {
 	return Options{
-		UseCfork:          true,
+		Startup:           StartupCfork,
 		CpusetMutexPatch:  false,
 		Retention:         true,
 		ErasePolicy:       sandbox.NoErase,
@@ -303,9 +299,9 @@ func New(p *sim.Proc, m *hw.Machine, reg *workloads.Registry, opts Options) (*Ru
 		os := localos.New(env, pu)
 		node := rt.Shim.AddNode(pu, os)
 		cr := sandbox.NewContainerRuntime(os)
-		cr.UseCfork = opts.UseCfork
+		cr.UseCfork = opts.Startup == StartupCfork
 		cr.CpusetMutexPatch = opts.CpusetMutexPatch
-		if opts.ZygoteTree && opts.UseCfork {
+		if opts.ZygoteTree && cr.UseCfork {
 			cr.UseZygoteTree = true
 			cr.ZygoteCfg = zygoteConfig(opts)
 		}
@@ -394,7 +390,7 @@ func zygoteConfig(opts Options) lang.ZygoteTreeConfig {
 // zygoteOn reports whether the zygote forest drives this runtime's cold
 // starts.
 func (rt *Runtime) zygoteOn() bool {
-	return rt.Opts.ZygoteTree && rt.Opts.UseCfork
+	return rt.Opts.ZygoteTree && rt.Opts.Startup == StartupCfork
 }
 
 // densityCapacity models how many concurrent instances a PU's resources

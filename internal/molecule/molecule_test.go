@@ -108,7 +108,7 @@ func TestColdStartCforkVsPlainBoot(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warm the template off the measured path.
-			if opts.UseCfork {
+			if opts.Startup == StartupCfork {
 				rt.ContainerRuntimeOn(0).EnsureTemplate(p, "python")
 			}
 			res, err := rt.Invoke(p, "image-processing", InvokeOptions{PU: -1, ForceCold: true})
@@ -120,7 +120,7 @@ func TestColdStartCforkVsPlainBoot(t *testing.T) {
 		return total
 	}
 	forked := coldTotal(DefaultOptions())
-	plain := coldTotal(Options{UseCfork: false, KeepWarmPerPU: 64})
+	plain := coldTotal(Options{KeepWarmPerPU: 64})
 	if forked > 35*time.Millisecond || forked < 25*time.Millisecond {
 		t.Errorf("cfork cold start = %v, want ~30ms", forked)
 	}
@@ -130,6 +130,27 @@ func TestColdStartCforkVsPlainBoot(t *testing.T) {
 	if ratio := float64(plain) / float64(forked); ratio < 5 {
 		t.Errorf("cfork speedup %.1fx too small", ratio)
 	}
+}
+
+// TestStartupCforkWithoutDefaults: the zero Options boot plain, and setting
+// only Startup: StartupCfork cold-starts through cfork.
+func TestStartupCforkWithoutDefaults(t *testing.T) {
+	if (Options{}).Startup != StartupPlain {
+		t.Fatalf("zero Options start %v, want plain", Options{}.Startup)
+	}
+	run(t, hw.Config{}, Options{Startup: StartupCfork}, func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "image-processing"); err != nil {
+			t.Fatal(err)
+		}
+		rt.ContainerRuntimeOn(0).EnsureTemplate(p, "python")
+		res, err := rt.Invoke(p, "image-processing", InvokeOptions{PU: -1, ForceCold: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Startup > 50*time.Millisecond {
+			t.Errorf("cold start = %v, want a cfork (~30ms), not a plain boot (~184ms)", res.Startup)
+		}
+	})
 }
 
 // TestRemoteColdStartAddsNIPCCost reproduces the Fig 10a/b cfork-XPU
@@ -287,7 +308,7 @@ func TestGPUInvoke(t *testing.T) {
 }
 
 func TestKeepAliveEviction(t *testing.T) {
-	run(t, hw.Config{}, Options{UseCfork: true, KeepWarmPerPU: 2, PrewarmContainers: 4}, func(p *sim.Proc, rt *Runtime) {
+	run(t, hw.Config{}, Options{Startup: StartupCfork, KeepWarmPerPU: 2, PrewarmContainers: 4}, func(p *sim.Proc, rt *Runtime) {
 		for _, fn := range []string{"matmul", "pyaes", "chameleon"} {
 			if err := rt.Deploy(p, fn); err != nil {
 				t.Fatal(err)
@@ -639,7 +660,7 @@ func TestKillExecutorValidation(t *testing.T) {
 // that is costlier to recreate wins the cache over an equally-popular cheap
 // one.
 func TestKeepAliveGreedyDualPrefersExpensive(t *testing.T) {
-	opts := Options{UseCfork: false, Startup: StartupPlain, KeepWarmPerPU: 1, PrewarmContainers: 4}
+	opts := Options{Startup: StartupPlain, KeepWarmPerPU: 1, PrewarmContainers: 4}
 	run(t, hw.Config{}, opts, func(p *sim.Proc, rt *Runtime) {
 		// linpack's dependency import (280ms) dwarfs pyaes's (59ms).
 		for _, fn := range []string{"linpack", "pyaes"} {

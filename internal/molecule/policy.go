@@ -1,6 +1,7 @@
 package molecule
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/hw"
@@ -41,6 +42,10 @@ func (p PlacementPolicy) String() string {
 	}
 	return fmt.Sprintf("PlacementPolicy(%d)", int(p))
 }
+
+// ErrNoCommonPU reports that PlaceChainAffinity found no single PU whose
+// kind every function of the chain supports, so the chain must cross PUs.
+var ErrNoCommonPU = errors.New("molecule: no single PU supports the whole chain")
 
 // firstIndex returns the first position of s in names.
 func firstIndex(names []string, s string) int {
@@ -163,14 +168,14 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 				return nil, fmt.Errorf("molecule: %w: every PU supporting the whole chain is full", ErrNoCapacity)
 			}
 		}
-		return nil, fmt.Errorf("molecule: no single PU supports the whole chain")
+		return nil, ErrNoCommonPU
 	case PlaceScatter:
 		// Round-robin across every eligible PU per function.
 		rot := 0
 		for i, d := range deps {
 			cands := rt.candidatePUs(d, PlaceFastest)
 			if len(cands) == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, names[i])
+				return nil, rt.unplaceable(d, names[i])
 			}
 			out[i] = cands[rot%len(cands)]
 			rot++
@@ -180,7 +185,7 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 		for i, d := range deps {
 			cands := rt.candidatePUs(d, policy)
 			if len(cands) == 0 {
-				return nil, fmt.Errorf("molecule: %w for %q", ErrNoCapacity, names[i])
+				return nil, rt.unplaceable(d, names[i])
 			}
 			out[i] = cands[0]
 		}
@@ -188,9 +193,26 @@ func (rt *Runtime) PlaceChain(names []string, policy PlacementPolicy) ([]hw.PUID
 	}
 }
 
+// unplaceable explains an empty candidate list for d: every
+// general-purpose PU supporting it is full (ErrNoCapacity, which a cluster
+// queues), or none supports it at all.
+func (rt *Runtime) unplaceable(d *Deployment, name string) error {
+	for _, pu := range rt.Machine.PUs() {
+		if n := rt.nodes[pu.ID]; n != nil && n.cr != nil && d.SupportsKind(pu.Kind) {
+			return fmt.Errorf("molecule: %w for %q", ErrNoCapacity, name)
+		}
+	}
+	return fmt.Errorf("molecule: no general-purpose PU supports %q", name)
+}
+
 // InvokeChainWithPolicy places the chain under the policy and invokes it.
+// A chain-affinity placement that finds no common PU (ErrNoCommonPU) falls
+// back to PlaceFastest, so the chain crosses PUs over nIPC (§4.3).
 func (rt *Runtime) InvokeChainWithPolicy(p *sim.Proc, names []string, policy PlacementPolicy) (ChainResult, error) {
 	placement, err := rt.PlaceChain(names, policy)
+	if policy == PlaceChainAffinity && errors.Is(err, ErrNoCommonPU) {
+		placement, err = rt.PlaceChain(names, PlaceFastest)
+	}
 	if err != nil {
 		return ChainResult{}, err
 	}

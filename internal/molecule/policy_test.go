@@ -1,6 +1,7 @@
 package molecule
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/hw"
@@ -121,8 +122,13 @@ func TestPlaceChainAffinityNoCommonPU(t *testing.T) {
 		if err := rt.Deploy(p, "alexa-interact", DefaultProfile(hw.DPU)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.PlaceChain([]string{"alexa-frontend", "alexa-interact"}, PlaceChainAffinity); err == nil {
-			t.Error("affinity placement succeeded with no common PU")
+		if _, err := rt.PlaceChain([]string{"alexa-frontend", "alexa-interact"}, PlaceChainAffinity); !errors.Is(err, ErrNoCommonPU) {
+			t.Errorf("affinity placement with no common PU: err = %v, want ErrNoCommonPU", err)
+		}
+		// InvokeChainWithPolicy falls back to a cross-PU placement.
+		res, err := rt.InvokeChainWithPolicy(p, []string{"alexa-frontend", "alexa-interact"}, PlaceChainAffinity)
+		if err != nil || len(res.EdgeLatency) != 1 {
+			t.Errorf("affinity chain with no common PU: edges %v err %v, want one cross-PU edge", res.EdgeLatency, err)
 		}
 	})
 }

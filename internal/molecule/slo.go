@@ -81,7 +81,7 @@ func (rt *Runtime) EstimateLatency(funcName string, kind hw.PUKind, arg workload
 		est := params.WarmDispatchTime + pu.ComputeTime(d.Fn.CPUCost(arg))
 		if rt.peekWarm(funcName, kind) == nil {
 			// Cold start: cfork or plain boot + dependency import.
-			if rt.Opts.UseCfork {
+			if rt.Opts.Startup == StartupCfork {
 				est += pu.StartupTime(30 * time.Millisecond) // cfork class
 			} else {
 				est += pu.StartupTime(params.ContainerCreateTime + params.PythonInitTime + d.Fn.DepImport)
