@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fixtures test race chaos bench microbench bench-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
+.PHONY: all check build vet lint lint-fixtures test race chaos bench microbench bench-smoke fuzz-smoke perfjson nipcjson simjson clusterjson coldstartjson coldstart-race cluster-race shards-race report report-md golden trace-demo attrib-demo examples clean
 
 all: check
 
@@ -63,6 +63,17 @@ bench-smoke:
 	$(GO) test ./internal/xpu -bench 'FIFOWrite' -benchtime 1x -run xxx
 	$(GO) test ./internal/molecule -bench 'InvokeWarm' -benchtime 1x -run xxx
 	$(GO) run ./cmd/molecule-bench -soak - -soak-inv 2000
+
+# Every fuzz target under the coverage-guided fuzzer for FUZZTIME each
+# (plain `go test` runs only their seed corpora). -fuzz takes one target
+# per run, hence one line per target.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/httpd -run '^$$' -fuzz '^FuzzInvokeForm$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workloads -run '^$$' -fuzz '^FuzzWordCount$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workloads -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ocicli -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/molecule -run '^$$' -fuzz '^FuzzDAGValidate$$' -fuzztime $(FUZZTIME)
 
 # Regenerate the machine-readable perf snapshot (BENCH_kernel.json).
 perfjson:

@@ -64,7 +64,7 @@ func main() {
 		}
 		fmt.Printf("fan-out DAG (%d mappers): %v   serialized: %v   (%.2fx from parallel mappers)\n",
 			mappers, fan.Total, serial.Total, float64(serial.Total)/float64(fan.Total))
-		fmt.Printf("node finish times: %v\n\n", fan.NodeFinish)
+		fmt.Printf("handler end times: %v\n\n", fan.NodeFinish)
 
 		// Top words from the real computation.
 		type wc struct {

@@ -33,7 +33,7 @@ type Interconnect struct {
 // registers the link's base latency as the group's lookahead — the
 // conservative window within which domains may run in parallel. The link
 // must have a positive BaseLat: a zero-latency interconnect admits no
-// lookahead (the group would fall back to the sequential merge), and in the
+// lookahead (a multi-domain group cannot run without one), and in the
 // hardware model every network hop has a base cost anyway.
 func NewInterconnect(sh *sim.Sharded, l Link) *Interconnect {
 	if l.BaseLat <= 0 {

@@ -12,27 +12,12 @@ import (
 	"repro/internal/xpu"
 )
 
-// ChainOptions configure a function-chain (serverless DAG) invocation.
-type ChainOptions struct {
-	// Placement pins each function to a PU; nil applies the chain-affinity
-	// policy (§5 "Profile selections"): the whole chain lands on the host.
-	// Entries of -1 fall back to the host.
-	Placement []hw.PUID
-	// Arg parameterizes cost models.
-	Arg workloads.Arg
-}
+// ChainOptions configure a function-chain invocation; a chain is the
+// linear DAG, so they are the DAG's options.
+type ChainOptions = DAGOptions
 
 // ChainResult reports a chain invocation's end-to-end outcome.
-type ChainResult struct {
-	Total time.Duration
-	// EdgeLatency is the per-edge request latency: caller write start →
-	// callee dispatch complete (what Fig 12 plots).
-	EdgeLatency []time.Duration
-	// ExecTotal sums handler execution across the chain.
-	ExecTotal time.Duration
-	// ColdStarts counts instances that had to cold start.
-	ColdStarts int
-}
+type ChainResult = DAGResult
 
 // pipe is one direction of a chain edge: a local FIFO when both ends share
 // a PU, an XPU-FIFO otherwise.
@@ -67,6 +52,13 @@ func (pp *pipe) recv(p *sim.Proc) (localos.Message, error) {
 type edge struct {
 	req  *pipe
 	resp *pipe
+	// argB is the request payload size: the callee's argument bytes.
+	argB int
+	// sentAt is when the caller started the request; lat is the request
+	// latency the callee measures, write start → dispatch complete (what
+	// Fig 12 plots).
+	sentAt sim.Time
+	lat    time.Duration
 }
 
 // endpoint is one side of a chain edge: a shim node plus the OS process
@@ -121,170 +113,10 @@ func (rt *Runtime) buildEdge(p *sim.Proc, caller, callee endpoint) (*edge, error
 	return &edge{req: req, resp: resp}, nil
 }
 
-// chainMeta is the per-request metadata carried in FIFO messages.
-type chainMeta struct {
-	sentAt sim.Time
-}
-
-// InvokeChain runs a synchronous function chain over direct-connect
-// IPC/nIPC: each function instance runs as its own process, blocked on its
-// request FIFO; requests flow down the chain and the response propagates
-// back up (Fig 12, Fig 14e).
+// InvokeChain runs a synchronous function chain: the linear DAG over the
+// same direct-connect IPC/nIPC edges (Fig 12, Fig 14e).
 func (rt *Runtime) InvokeChain(p *sim.Proc, names []string, opts ChainOptions) (ChainResult, error) {
-	if len(names) == 0 {
-		return ChainResult{}, fmt.Errorf("molecule: empty chain")
-	}
-	n := len(names)
-	placement := opts.Placement
-	if placement == nil {
-		placement = make([]hw.PUID, n)
-		for i := range placement {
-			placement[i] = rt.hostID // chain affinity: co-locate the chain
-		}
-	}
-	if len(placement) != n {
-		return ChainResult{}, fmt.Errorf("molecule: placement length %d != chain length %d", len(placement), n)
-	}
-
-	// Acquire instances (warm where possible). The release defer is
-	// registered before the acquire loop: when a later function's acquire
-	// fails (capacity race between concurrent chains), the instances already
-	// acquired must go back to the warm pool — leaking them pins liveCount
-	// above capacity forever and wedges every subsequent placement.
-	var res ChainResult
-	insts := make([]*instance, n)
-	deps := make([]*Deployment, n)
-	defer func() {
-		for _, inst := range insts {
-			if inst != nil {
-				rt.release(p, inst)
-			}
-		}
-	}()
-	for i, name := range names {
-		d, err := rt.Deployment(name)
-		if err != nil {
-			return ChainResult{}, err
-		}
-		deps[i] = d
-		pin := placement[i]
-		if pin < 0 {
-			pin = rt.hostID
-		}
-		inst, cold, err := rt.acquire(p, d, pin, false, nil)
-		if err != nil {
-			return ChainResult{}, err
-		}
-		if cold {
-			res.ColdStarts++
-		}
-		insts[i] = inst
-	}
-
-	// Wire the gateway edge plus one edge per chain hop.
-	hostNode := rt.nodes[rt.hostID]
-	gw := endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("gateway")}
-	gwEdge, err := rt.buildEdge(p, gw, instEndpoint(insts[0]))
-	if err != nil {
-		return ChainResult{}, err
-	}
-	edges := make([]*edge, n-1)
-	for i := 0; i < n-1; i++ {
-		e, err := rt.buildEdge(p, instEndpoint(insts[i]), instEndpoint(insts[i+1]))
-		if err != nil {
-			return ChainResult{}, err
-		}
-		edges[i] = e
-	}
-
-	edgeLat := make([]time.Duration, n)
-	execDur := make([]time.Duration, n)
-
-	// Spawn one process per instance.
-	done := sim.NewWaitGroup(rt.Env)
-	done.Add(n)
-	for i := n - 1; i >= 0; i-- {
-		i := i
-		inst, d := insts[i], deps[i]
-		in := gwEdge
-		if i > 0 {
-			in = edges[i-1]
-		}
-		var out *edge
-		if i < n-1 {
-			out = edges[i]
-		}
-		rt.Env.Spawn(fmt.Sprintf("chain-%s", inst.fn), func(fp *sim.Proc) {
-			defer done.Done()
-			// The language runtime's per-hop dispatch work splits between
-			// the sender (serialize the event) and the receiver
-			// (deserialize, schedule the handler), each on its own PU.
-			half := scaledDispatch(inst.node.pu) / 2
-			msg, err := in.req.recv(fp)
-			if err != nil {
-				return
-			}
-			fp.Sleep(half)
-			if meta, ok := msg.Meta.(chainMeta); ok {
-				edgeLat[i] = time.Duration(fp.Now() - meta.sentAt)
-			}
-			start := fp.Now()
-			inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.forked)
-			execDur[i] = fp.Now().Sub(start)
-			inst.node.busy += execDur[i]
-
-			var respPayload []byte
-			_, resB := d.Fn.Sizes(opts.Arg)
-			if out != nil {
-				nextArg, _ := deps[i+1].Fn.Sizes(opts.Arg)
-				sentAt := fp.Now()
-				fp.Sleep(half) // serialize the downstream request
-				if err := out.req.send(fp, localos.Message{
-					From: inst.fn, Kind: "req",
-					Payload: make([]byte, nextArg),
-					Meta:    chainMeta{sentAt: sentAt},
-				}); err != nil {
-					return
-				}
-				resp, err := out.resp.recv(fp)
-				if err != nil {
-					return
-				}
-				fp.Sleep(half) // deserialize the downstream response
-				respPayload = resp.Payload
-			} else {
-				respPayload = make([]byte, resB)
-			}
-			fp.Sleep(half) // serialize the response
-			in.resp.send(fp, localos.Message{From: inst.fn, Kind: "resp", Payload: respPayload})
-		})
-	}
-
-	// Drive the request from the gateway and wait for the response.
-	argB, _ := deps[0].Fn.Sizes(opts.Arg)
-	start := p.Now()
-	if err := gwEdge.req.send(p, localos.Message{
-		From: "gateway", Kind: "req",
-		Payload: make([]byte, argB),
-		Meta:    chainMeta{sentAt: p.Now()},
-	}); err != nil {
-		return ChainResult{}, err
-	}
-	if _, err := gwEdge.resp.recv(p); err != nil {
-		return ChainResult{}, err
-	}
-	res.Total = p.Now().Sub(start)
-	done.Wait(p)
-
-	res.EdgeLatency = edgeLat[1:] // drop the gateway edge
-	for _, d := range execDur {
-		res.ExecTotal += d
-	}
-	for i, d := range deps {
-		pr, _ := d.ProfileFor(insts[i].node.pu.Kind)
-		rt.bill.Record(d.Fn.Name, insts[i].node.pu.Kind, execDur[i], pr.PricePerMs)
-	}
-	return res, nil
+	return rt.InvokeDAG(p, Chain(names...), opts)
 }
 
 // AccelChainOptions configure a host-driven accelerator chain.

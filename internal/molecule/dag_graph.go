@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/hw"
+	"repro/internal/localos"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -99,29 +100,42 @@ func (d DAG) Validate() ([]int, error) {
 	return order, nil
 }
 
-// DAGOptions configure one DAG invocation.
+// DAGOptions configure one DAG (or chain) invocation.
 type DAGOptions struct {
-	// Placement pins each node to a PU (nil → host for every node).
+	// Placement pins each node to a PU; nil applies the chain-affinity
+	// policy (§5 "Profile selections"): every node lands on the host.
+	// Entries of -1 fall back to the host.
 	Placement []hw.PUID
-	Arg       workloads.Arg
+	// Arg parameterizes cost models.
+	Arg workloads.Arg
 }
 
 // DAGResult reports one DAG invocation.
 type DAGResult struct {
-	// Total is the end-to-end makespan: first node's trigger to last sink's
-	// completion.
+	// Total is the gateway round trip: requests out to the roots until
+	// every root has answered.
 	Total time.Duration
-	// NodeFinish is each node's completion time relative to the start.
+	// NodeFinish is each handler's end time relative to the start.
 	NodeFinish []time.Duration
+	// EdgeLatency is the request latency of each dependency edge (caller
+	// write start → callee dispatch complete, what Fig 12 plots), in node
+	// order; gateway edges are not included.
+	EdgeLatency []time.Duration
 	// ExecTotal sums all handlers' execution time (CPU work, not makespan).
 	ExecTotal  time.Duration
 	ColdStarts int
 }
 
-// InvokeDAG executes a general DAG: every node runs as its own simulation
-// process that waits for all of its producers, pays the edge communication
-// cost from each producer's PU, executes, and signals its consumers.
-// Independent branches overlap in time, so fan-out genuinely parallelizes.
+// InvokeDAG runs a DAG synchronously over direct-connect IPC/nIPC (§4.3
+// "direct connect", Fig 12): every node runs as its own process on its
+// instance, the gateway holds one duplex edge to each root, and every
+// dependency is one duplex edge from producer to consumer — a local FIFO
+// pair when both ends share a PU, an XPU-FIFO pair otherwise. A node blocks
+// until a request has arrived on each in-edge, executes, sends a request to
+// each consumer, collects their responses, and only then answers each
+// producer, so responses travel back up the graph to the gateway.
+// Independent branches overlap in time, so fan-out genuinely parallelizes;
+// a chain is the linear DAG (Chain).
 func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts DAGOptions) (DAGResult, error) {
 	order, err := dag.Validate()
 	if err != nil {
@@ -132,20 +146,22 @@ func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts DAGOptions) (DAGResult, 
 	if placement == nil {
 		placement = make([]hw.PUID, n)
 		for i := range placement {
-			placement[i] = rt.hostID
+			placement[i] = rt.hostID // chain affinity: co-locate the DAG
 		}
 	}
 	if len(placement) != n {
 		return DAGResult{}, fmt.Errorf("molecule: placement length %d != %d nodes", len(placement), n)
 	}
 
+	// Acquire instances (warm where possible) in topological order. The
+	// release defer is registered before the acquire loop: when a later
+	// node's acquire fails (capacity race between concurrent invocations),
+	// the instances already acquired must go back to the warm pool —
+	// leaking them pins liveCount above capacity forever and wedges every
+	// subsequent placement (caught by moleculelint's releasepath analyzer).
 	var res DAGResult
 	insts := make([]*instance, n)
 	deps := make([]*Deployment, n)
-	// The cleanup defer is registered BEFORE the acquire loop: a Deployment
-	// or acquire error mid-loop must still release every already-acquired
-	// instance (the InvokeChain defer-after-acquire leak, caught by
-	// moleculelint's releasepath analyzer).
 	defer func() {
 		for _, inst := range insts {
 			if inst != nil {
@@ -173,70 +189,129 @@ func (rt *Runtime) InvokeDAG(p *sim.Proc, dag DAG, opts DAGOptions) (DAGResult, 
 		insts[i] = inst
 	}
 
-	// One completion event per node; consumers wait on their producers'.
-	doneEv := make([]*sim.Event, n)
-	for i := range doneEv {
-		doneEv[i] = sim.NewEvent(rt.Env)
+	// Wire the gateway's edge to each root first, then one edge per
+	// dependency in node order.
+	hostNode := rt.nodes[rt.hostID]
+	gw := endpoint{node: hostNode, proc: hostNode.os.NewDetachedProcess("gateway")}
+	in := make([][]*edge, n)
+	out := make([][]*edge, n)
+	var roots, depEdges []*edge
+	wire := func(from endpoint, to int) (*edge, error) {
+		e, err := rt.buildEdge(p, from, instEndpoint(insts[to]))
+		if err != nil {
+			return nil, err
+		}
+		e.argB, _ = deps[to].Fn.Sizes(opts.Arg)
+		in[to] = append(in[to], e)
+		return e, nil
 	}
+	for i, node := range dag.Nodes {
+		if len(node.Deps) == 0 {
+			e, err := wire(gw, i)
+			if err != nil {
+				return DAGResult{}, err
+			}
+			roots = append(roots, e)
+		}
+	}
+	for i, node := range dag.Nodes {
+		for _, dep := range node.Deps {
+			e, err := wire(instEndpoint(insts[dep]), i)
+			if err != nil {
+				return DAGResult{}, err
+			}
+			out[dep] = append(out[dep], e)
+			depEdges = append(depEdges, e)
+		}
+	}
+
 	finish := make([]sim.Time, n)
 	execDur := make([]time.Duration, n)
-	all := sim.NewWaitGroup(rt.Env)
-	all.Add(n)
-	start := p.Now()
-
-	for i := 0; i < n; i++ {
-		i := i
-		node := dag.Nodes[i]
+	done := sim.NewWaitGroup(rt.Env)
+	done.Add(n)
+	for i := n - 1; i >= 0; i-- {
 		inst, d := insts[i], deps[i]
-		rt.Env.Spawn(fmt.Sprintf("dag-%d-%s", i, node.Fn), func(fp *sim.Proc) {
-			defer all.Done()
-			// Join all producers, paying each edge's transport.
-			for _, dep := range node.Deps {
-				doneEv[dep].Wait(fp)
-				rt.chargeEdge(fp, insts[dep], inst, deps[dep].Fn.Name, opts.Arg)
+		rt.Env.Spawn("chain-"+inst.fn, func(fp *sim.Proc) {
+			defer done.Done()
+			// The language runtime's per-hop dispatch work splits between
+			// the sender (serialize the event) and the receiver
+			// (deserialize, schedule the handler), each on its own PU.
+			half := scaledDispatch(inst.node.pu) / 2
+			for _, e := range in[i] {
+				if _, err := e.req.recv(fp); err != nil {
+					return
+				}
 			}
-			fp.Sleep(scaledDispatch(inst.node.pu) / 2)
-			t0 := fp.Now()
+			fp.Sleep(half)
+			for _, e := range in[i] {
+				e.lat = time.Duration(fp.Now() - e.sentAt)
+			}
+			start := fp.Now()
 			inst.sb.Inst.Invoke(fp, d.Fn.CPUCost(opts.Arg), inst.forked)
-			execDur[i] = fp.Now().Sub(t0)
-			inst.node.busy += execDur[i]
-			fp.Sleep(scaledDispatch(inst.node.pu) / 2)
 			finish[i] = fp.Now()
-			doneEv[i].Trigger(nil)
+			execDur[i] = finish[i].Sub(start)
+			inst.node.busy += execDur[i]
+
+			// Send every downstream request before waiting on any response.
+			for _, e := range out[i] {
+				e.sentAt = fp.Now()
+				fp.Sleep(half) // serialize the downstream request
+				if err := e.req.send(fp, localos.Message{
+					From: inst.fn, Kind: "req", Payload: make([]byte, e.argB),
+				}); err != nil {
+					return
+				}
+			}
+			var respPayload []byte
+			for _, e := range out[i] {
+				resp, err := e.resp.recv(fp)
+				if err != nil {
+					return
+				}
+				fp.Sleep(half) // deserialize the downstream response
+				respPayload = resp.Payload
+			}
+			if len(out[i]) == 0 {
+				_, resB := d.Fn.Sizes(opts.Arg)
+				respPayload = make([]byte, resB)
+			}
+			for _, e := range in[i] {
+				fp.Sleep(half) // serialize the response
+				e.resp.send(fp, localos.Message{From: inst.fn, Kind: "resp", Payload: respPayload})
+			}
 		})
 	}
-	all.Wait(p)
+
+	// Drive the requests from the gateway and wait for every response.
+	start := p.Now()
+	for _, e := range roots {
+		e.sentAt = p.Now()
+		if err := e.req.send(p, localos.Message{
+			From: "gateway", Kind: "req", Payload: make([]byte, e.argB),
+		}); err != nil {
+			return DAGResult{}, err
+		}
+	}
+	for _, e := range roots {
+		if _, err := e.resp.recv(p); err != nil {
+			return DAGResult{}, err
+		}
+	}
+	res.Total = p.Now().Sub(start)
+	done.Wait(p)
 
 	res.NodeFinish = make([]time.Duration, n)
 	for i := range finish {
-		res.NodeFinish[i] = time.Duration(finish[i] - start)
-		if res.NodeFinish[i] > res.Total {
-			res.Total = res.NodeFinish[i]
-		}
+		res.NodeFinish[i] = finish[i].Sub(start)
 		res.ExecTotal += execDur[i]
+	}
+	res.EdgeLatency = make([]time.Duration, len(depEdges))
+	for k, e := range depEdges {
+		res.EdgeLatency[k] = e.lat
 	}
 	for i, d := range deps {
 		pr, _ := d.ProfileFor(insts[i].node.pu.Kind)
 		rt.bill.Record(d.Fn.Name, insts[i].node.pu.Kind, execDur[i], pr.PricePerMs)
 	}
 	return res, nil
-}
-
-// chargeEdge charges the one-way data movement of a DAG edge from producer
-// to consumer: local FIFO ops when co-located, nIPC transfer otherwise.
-func (rt *Runtime) chargeEdge(p *sim.Proc, from, to *instance, producerFn string, arg workloads.Arg) {
-	fn, err := rt.Registry.Get(producerFn)
-	var payload int
-	if err == nil {
-		_, payload = fn.Sizes(arg)
-	}
-	if from.node.pu.ID == to.node.pu.ID {
-		// Local FIFO: producer write + consumer read.
-		p.Sleep(2 * from.node.os.Costs.FIFOOp)
-		return
-	}
-	// nIPC: XPUcall on both sides + interconnect transfer.
-	p.Sleep(from.node.node.Mode.CallOverhead(from.node.pu.Kind))
-	rt.Machine.Transfer(p, from.node.pu.ID, to.node.pu.ID, payload)
-	p.Sleep(to.node.node.Mode.CallOverhead(to.node.pu.Kind))
 }

@@ -2,6 +2,7 @@ package molecule_test
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/hw"
 	"repro/internal/molecule"
@@ -60,7 +61,9 @@ func ExampleRuntime_InvokeChain() {
 	// 3-function chain, 0 cold starts, 2 measured edges
 }
 
-// DAGs support fan-out: both mappers run concurrently.
+// DAGs support fan-out: both mappers run concurrently. The splitter sends
+// its two requests one after the other, so the mappers end within a
+// dispatch of each other, far less than one mapper's run.
 func ExampleRuntime_InvokeDAG() {
 	env := sim.NewEnv()
 	machine := hw.Build(env, hw.Config{})
@@ -73,10 +76,10 @@ func ExampleRuntime_InvokeDAG() {
 		dag := molecule.MapReduceDAG(2)
 		rt.InvokeDAG(p, dag, molecule.DAGOptions{}) // boot
 		res, _ := rt.InvokeDAG(p, dag, molecule.DAGOptions{})
-		fmt.Printf("mappers finished together: %v\n",
-			res.NodeFinish[1] == res.NodeFinish[2])
+		gap := res.NodeFinish[2] - res.NodeFinish[1]
+		fmt.Printf("mappers overlap: %v\n", gap > -time.Millisecond && gap < time.Millisecond)
 	})
 	env.Run()
 	// Output:
-	// mappers finished together: true
+	// mappers overlap: true
 }

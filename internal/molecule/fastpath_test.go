@@ -226,3 +226,34 @@ func BenchmarkInvokeWarm(b *testing.B) {
 	})
 	env.Run()
 }
+
+// BenchmarkInvokeChainWarm measures one warm 3-function MapReduce chain end
+// to end: the edge wiring, one process per node, and the FIFO round trips.
+func BenchmarkInvokeChainWarm(b *testing.B) {
+	env := sim.NewEnv()
+	m := hw.Build(env, hw.Config{DPUs: 1})
+	reg := workloads.NewRegistry()
+	env.Spawn("bench", func(p *sim.Proc) {
+		rt, err := New(p, m, reg, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		chain := workloads.MapReduceChain()
+		for _, fn := range chain {
+			if err := rt.Deploy(p, fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := rt.InvokeChain(p, chain, ChainOptions{}); err != nil {
+			b.Fatal(err) // cold starts outside the timed region
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.InvokeChain(p, chain, ChainOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	env.Run()
+}

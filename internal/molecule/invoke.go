@@ -615,6 +615,13 @@ func (rt *Runtime) invokeGPU(p *sim.Proc, d *Deployment, opts InvokeOptions, set
 	root.SetAttr("pu", fmt.Sprintf("%d", n.pu.ID))
 	root.Finish() // root span duration == res.Total by construction
 	n.busy += res.Exec
+	if opts.RunBody && d.Fn.Body != nil {
+		out, bodyErr := d.Fn.Body(opts.Arg)
+		if bodyErr != nil {
+			return Result{}, bodyErr
+		}
+		res.Output = out
+	}
 	if settle {
 		rt.settleResult(d, res)
 	}

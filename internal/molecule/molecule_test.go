@@ -307,6 +307,29 @@ func TestGPUInvoke(t *testing.T) {
 	})
 }
 
+// TestGPUInvokeRunsBody: RunBody executes the function's real body on the
+// GPU path too, as it does on the general-purpose and FPGA paths.
+func TestGPUInvokeRunsBody(t *testing.T) {
+	run(t, hw.Config{GPUs: 1}, DefaultOptions(), func(p *sim.Proc, rt *Runtime) {
+		if err := rt.Deploy(p, "mscale", DefaultProfile(hw.GPU)); err != nil {
+			t.Error(err)
+			return
+		}
+		gpu := rt.Machine.PUsOfKind(hw.GPU)[0]
+		res, err := rt.Invoke(p, "mscale", InvokeOptions{PU: gpu.ID, RunBody: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if res.Kind != hw.GPU {
+			t.Errorf("ran on %v, want GPU", res.Kind)
+		}
+		if res.Output == nil {
+			t.Error("GPU invoke with RunBody returned no output")
+		}
+	})
+}
+
 func TestKeepAliveEviction(t *testing.T) {
 	run(t, hw.Config{}, Options{Startup: StartupCfork, KeepWarmPerPU: 2, PrewarmContainers: 4}, func(p *sim.Proc, rt *Runtime) {
 		for _, fn := range []string{"matmul", "pyaes", "chameleon"} {

@@ -48,11 +48,9 @@ import (
 // no lookahead short-circuits to Env.Run, the classic single-heap loop —
 // bit-for-bit the pre-sharding kernel.
 //
-// If no lookahead is configured (Lookahead() == 0), a multi-domain group
-// falls back to a sequential deterministic merge: one event at a time,
-// globally ordered by (time, domain), with the Sleep fast path disabled so a
-// zero-delay cross-domain message can never be overtaken. This mode is
-// always safe, never parallel.
+// A group with several domains must declare a lookahead (LimitLookahead;
+// hw.NewInterconnect does so from the link's base latency): without one no
+// window is safe, and Run panics.
 type Sharded struct {
 	doms      []*Env
 	lookahead Duration
@@ -222,7 +220,7 @@ func (sh *Sharded) anyStopped() bool {
 //     count (a single-domain group still runs in windows, which exercises
 //     the same machinery and is provably equivalent to the classic loop);
 //   - no lookahead, one domain: exactly Env.Run, the classic loop;
-//   - no lookahead, several domains: the sequential deterministic merge.
+//   - no lookahead, several domains: a panic, since no window is safe.
 //
 // The execution — per-domain event order, traces, clocks, counters — is
 // identical for every workers value: parallelism changes wall-clock time
@@ -243,7 +241,7 @@ func (sh *Sharded) Run(workers int) Time {
 			panic("sim: Send on a single-domain group requires a lookahead (LimitLookahead)")
 		}
 	default:
-		sh.runMerge()
+		panic("sim: a multi-domain group requires a lookahead (LimitLookahead)")
 	}
 	var end Time
 	for _, d := range sh.doms {
@@ -333,31 +331,6 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 		}()
 	}
 	wg.Wait()
-}
-
-// runMerge is the zero-lookahead fallback: a global deterministic merge that
-// fires one event at a time from the domain with the earliest (time, domain)
-// key, delivering outboxes before every pop so even zero-delay cross-domain
-// messages order correctly. Sequential by construction.
-func (sh *Sharded) runMerge() {
-	for _, d := range sh.doms {
-		d.stopped = false
-		d.limit = 0
-	}
-	for {
-		sh.deliver()
-		best := -1
-		var bt Time
-		for i, d := range sh.doms {
-			if t, ok := d.nextEventTime(); ok && (best < 0 || t < bt) {
-				best, bt = i, t
-			}
-		}
-		if best < 0 || sh.anyStopped() {
-			return
-		}
-		sh.doms[best].fireNext()
-	}
 }
 
 // Now returns the maximum current virtual time across domains.

@@ -72,13 +72,10 @@ func renderTrace(evs []TraceEvent) string {
 }
 
 // runCoupledSharded runs the workload on a Sharded group with the given
-// domain and worker counts; machine m lives on domain m % domains. When
-// lookahead is false the group runs in the zero-lookahead sequential merge.
-func runCoupledSharded(domains, workers int, lookahead bool) coupledRun {
+// domain and worker counts; machine m lives on domain m % domains.
+func runCoupledSharded(domains, workers int) coupledRun {
 	sh := NewSharded(domains)
-	if lookahead {
-		sh.LimitLookahead(cLA)
-	}
+	sh.LimitLookahead(cLA)
 	sh.EnableTrace()
 	var st coupledState
 	for m := 0; m < cm; m++ {
@@ -127,30 +124,27 @@ func runCoupledPlain() coupledRun {
 // TestShardedMatchesSequential is the determinism contract of the sharded
 // kernel: the coupled workload must produce bit-identical fingerprints and
 // trace logs on the classic single-heap kernel and on every sharding —
-// any domain partition, any worker count, windowed or sequential-merge.
+// any domain partition, any worker count.
 func TestShardedMatchesSequential(t *testing.T) {
 	ref := runCoupledPlain()
 	if ref.sched == 0 || len(ref.trace) == 0 {
 		t.Fatal("reference run produced no events")
 	}
 	cases := []struct {
-		name      string
-		domains   int
-		workers   int
-		lookahead bool
+		name    string
+		domains int
+		workers int
 	}{
-		{"d1-w1-windowed", 1, 1, true},
-		{"d2-w1", 2, 1, true},
-		{"d2-w2", 2, 2, true},
-		{"d3-w4", 3, 4, true},
-		{"d6-w1", 6, 1, true},
-		{"d6-w4", 6, 4, true},
-		{"d6-wNumCPU", 6, runtime.NumCPU(), true},
-		{"d6-merge", 6, 1, false},
-		{"d4-merge", 4, 1, false},
+		{"d1-w1-windowed", 1, 1},
+		{"d2-w1", 2, 1},
+		{"d2-w2", 2, 2},
+		{"d3-w4", 3, 4},
+		{"d6-w1", 6, 1},
+		{"d6-w4", 6, 4},
+		{"d6-wNumCPU", 6, runtime.NumCPU()},
 	}
 	for _, c := range cases {
-		got := runCoupledSharded(c.domains, c.workers, c.lookahead)
+		got := runCoupledSharded(c.domains, c.workers)
 		if got.fp != ref.fp {
 			t.Errorf("%s: fingerprint diverged\n got: %s\nwant: %s", c.name, got.fp, ref.fp)
 		}
@@ -163,8 +157,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 // TestShardedRepeatable pins run-to-run determinism at a fixed configuration
 // (the wall-clock schedule of the worker pool must not leak into results).
 func TestShardedRepeatable(t *testing.T) {
-	a := runCoupledSharded(3, 4, true)
-	b := runCoupledSharded(3, 4, true)
+	a := runCoupledSharded(3, 4)
+	b := runCoupledSharded(3, 4)
 	if a.fp != b.fp || a.trace != b.trace {
 		t.Fatal("two identical sharded runs diverged")
 	}
@@ -252,6 +246,18 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 		}()
 		sh.Send(p.Env(), 1, time.Microsecond, func() {})
 	})
+	sh.Run(1)
+}
+
+// TestMultiDomainWithoutLookaheadPanics: with several domains and no
+// lookahead no window is safe, so Run refuses rather than guess.
+func TestMultiDomainWithoutLookaheadPanics(t *testing.T) {
+	sh := NewSharded(2)
+	defer func() {
+		if recover() == nil {
+			t.Error("multi-domain Run without a lookahead did not panic")
+		}
+	}()
 	sh.Run(1)
 }
 

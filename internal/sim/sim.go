@@ -94,11 +94,9 @@ type Env struct {
 	// and domain 0; an Env created by NewSharded is one domain of a group.
 	// windowBound is the exclusive virtual-time bound of the window the
 	// domain is currently executing: 0 means unbounded (the classic
-	// single-heap loop), a positive value caps the Sleep fast path so a
+	// single-heap loop), and a positive value caps the Sleep fast path so a
 	// process cannot advance past a barrier at which cross-domain messages
-	// are delivered, and fastPathOff disables the fast path entirely (the
-	// zero-lookahead sequential merge, where a cross-domain message may
-	// arrive at any time >= now).
+	// are delivered.
 	group       *Sharded
 	domain      int
 	windowBound Time
@@ -108,9 +106,6 @@ type Env struct {
 	spawned []*Proc // procs visible to BlockedProcs; compacted as procs exit
 	exited  int     // exited procs still occupying a spawned slot
 }
-
-// fastPathOff is the windowBound sentinel that disables the Sleep fast path.
-const fastPathOff Time = -1
 
 // maxFreeEvents caps the recycle pool; beyond this, fired events are left
 // for the GC. The cap bounds kernel memory on runs with huge event bursts.
@@ -332,7 +327,7 @@ func (p *Proc) Sleep(d Duration) {
 	env := p.env
 	t := env.now.After(d)
 	if env.running == p && !env.stopped && (env.limit == 0 || t <= env.limit) &&
-		(env.windowBound == 0 || (env.windowBound > 0 && t < env.windowBound)) &&
+		(env.windowBound == 0 || t < env.windowBound) &&
 		(len(env.events) == 0 || env.events.peek().t > t) {
 		env.seq++ // account for the wake event this path elides
 		env.now = t
@@ -408,18 +403,6 @@ func (e *Env) window(bound Time) int {
 	}
 	e.windowBound = 0
 	return n
-}
-
-// fireNext pops and fires the single earliest event with the fast path
-// disabled; the zero-lookahead sequential merge uses it, where a cross-domain
-// message may arrive at any future instant and therefore no elided wake-up is
-// safe. The caller has checked that an event is queued.
-func (e *Env) fireNext() {
-	e.windowBound = fastPathOff
-	ev := e.events.popEv()
-	e.now = ev.t
-	e.fire(ev)
-	e.windowBound = 0
 }
 
 // nextEventTime returns the time of the earliest queued event and whether

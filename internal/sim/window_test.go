@@ -82,7 +82,7 @@ func TestWindowTelemetryDeterministicAcrossWorkers(t *testing.T) {
 // accounted to exactly one window.
 func TestWindowObserverInvisible(t *testing.T) {
 	const domains = 3
-	plain := runCoupledSharded(domains, 2, true)
+	plain := runCoupledSharded(domains, 2)
 	observed, rec := runCoupledObserved(domains, 2)
 	if observed.fp != plain.fp {
 		t.Fatalf("observer changed the fingerprint\n got  %s\n want %s", observed.fp, plain.fp)
