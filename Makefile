@@ -74,6 +74,8 @@ fuzz-smoke:
 	$(GO) test ./internal/workloads -run '^$$' -fuzz '^FuzzLoadJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ocicli -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/molecule -run '^$$' -fuzz '^FuzzDAGValidate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/httpd -run '^$$' -fuzz '^FuzzParseProfiles$$' -fuzztime $(FUZZTIME)
 
 # Regenerate the machine-readable perf snapshot (BENCH_kernel.json).
 perfjson:

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -171,6 +172,78 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", bad)
 		}
 	}
+}
+
+// TestParseSpecBoundsFactorsAndProbs: an inflation factor must be finite and
+// at least 1, a probability a number in [0, 1], a window start at least 0
+// and a window duration positive. A huge finite factor is
+// a valid (if extreme) degradation and reaches the plan unchanged; hw
+// saturates the stretched latency.
+func TestParseSpecBoundsFactorsAndProbs(t *testing.T) {
+	for _, bad := range []string{
+		"inflate=0-1*0@0s", "inflate=0-1*-2@0s", "inflate=0-1*0.5@0s",
+		"inflate=0-1*NaN@0s", "inflate=0-1*Inf@0s", "inflate=0-1*1e400@0s",
+		"create-fail=NaN", "fork-fail=-0.1", "handler-fail=Inf",
+		"crash=1@-1s", "crash=1@1s+-1s", "crash=1@1s+0s", "partition=0-1@0s+-5ms",
+	} {
+		if err := ParseSpec(NewPlan(sim.NewEnv(), 1), bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted an out-of-range value", bad)
+		}
+	}
+	pl := NewPlan(sim.NewEnv(), 1)
+	if err := ParseSpec(pl, "inflate=0-1*1e300@0s"); err != nil {
+		t.Fatalf("ParseSpec huge finite factor: %v", err)
+	}
+	if inflate, err := pl.TransferFault(0, 1); err != nil || inflate != 1e300 {
+		t.Errorf("inflate=0-1*1e300: got (%v, %v), want (1e300, nil)", inflate, err)
+	}
+}
+
+// FuzzParseSpec: every spec either fails to parse or builds a plan whose
+// inflation factors are finite and at least 1, whose probabilities lie in
+// [0, 1] and whose windows end after they start (or never).
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"crash=1@2s+500ms, partition=0-2@1s+1s, inflate=0-3*4@0s+10s, create-fail=0.1, fork-fail=0.2, handler-fail=0.3",
+		"inflate=0-1*1e300@0s",
+		"inflate=0-1*NaN@0s",
+		"inflate=0-1*0.5@0s+1s",
+		"create-fail=NaN",
+		"crash=0@0s",
+		"crash=1@1s+-1s",
+		",,",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl := NewPlan(sim.NewEnv(), 1)
+		if err := ParseSpec(pl, spec); err != nil {
+			return
+		}
+		checkWindow := func(w Window) {
+			if w.From < 0 || (w.To != 0 && w.To <= w.From) {
+				t.Fatalf("%q: window [%v, %v)", spec, w.From, w.To)
+			}
+		}
+		for _, ws := range pl.crashes {
+			for _, w := range ws {
+				checkWindow(w)
+			}
+		}
+		for link, ws := range pl.links {
+			for _, w := range ws {
+				checkWindow(w.Window)
+				if !w.partition && (math.IsInf(w.inflate, 0) || !(w.inflate >= 1)) {
+					t.Fatalf("%q: link %v has inflation factor %v", spec, link, w.inflate)
+				}
+			}
+		}
+		for _, p := range []float64{pl.CreateFailProb, pl.ForkFailProb, pl.HandlerFailProb} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("%q: probability %v out of [0, 1]", spec, p)
+			}
+		}
+	})
 }
 
 func TestPUIDNormalization(t *testing.T) {

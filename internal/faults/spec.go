@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -15,7 +16,7 @@ import (
 //
 //	crash=PU@START+DUR        crash PU over [START, START+DUR); omit +DUR for forever
 //	partition=A-B@START+DUR   drop all transfers on link A<->B over the window
-//	inflate=A-B*F@START+DUR   stretch link A<->B latency by factor F over the window
+//	inflate=A-B*F@START+DUR   stretch link A<->B latency by factor F (finite, >= 1) over the window
 //	create-fail=P             sandbox creation fails with probability P
 //	fork-fail=P               OS fork fails with probability P
 //	handler-fail=P            handler invocation crashes with probability P
@@ -64,11 +65,19 @@ func parseWindow(s string) (Window, error) {
 	if err != nil {
 		return Window{}, fmt.Errorf("bad start time %q: %w", start, err)
 	}
+	if from < 0 {
+		return Window{}, fmt.Errorf("start time %v before 0", from)
+	}
 	w := Window{From: sim.Time(from)}
 	if hasDur {
 		dur, err := time.ParseDuration(durStr)
 		if err != nil {
 			return Window{}, fmt.Errorf("bad duration %q: %w", durStr, err)
+		}
+		// A zero or negative duration would yield To <= From, and To == 0
+		// reads as "forever": crash=1@1s+-1s would never revive.
+		if dur <= 0 {
+			return Window{}, fmt.Errorf("duration %v: want a positive duration", dur)
 		}
 		w.To = w.From.After(dur)
 	}
@@ -110,6 +119,9 @@ func parseLink(pl *Plan, val string, partition bool) error {
 		if err != nil {
 			return fmt.Errorf("bad factor %q: %w", fStr, err)
 		}
+		if math.IsInf(f, 0) || !(f >= 1) {
+			return fmt.Errorf("factor %v: want a finite factor of at least 1", f)
+		}
 		endStr, factor = pair, f
 	}
 	aStr, bStr, ok := strings.Cut(endStr, "-")
@@ -142,7 +154,7 @@ func parseProb(val string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad probability %q: %w", val, err)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("probability %v out of [0, 1]", p)
 	}
 	return p, nil

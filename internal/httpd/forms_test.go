@@ -135,3 +135,32 @@ func TestMixedKindChain(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseProfiles: a /deploy profiles list either fails to parse or maps
+// every non-blank comma-separated name, in order and case-insensitively, to
+// that PU kind's default profile.
+func FuzzParseProfiles(f *testing.F) {
+	for _, s := range []string{"cpu,dpu,fpga,gpu", " DPU , ,cpu", "", ",", "tpu", "cpu,\xff"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseProfiles(s)
+		if err != nil {
+			return
+		}
+		var names []string
+		for _, part := range strings.Split(s, ",") {
+			if name := strings.TrimSpace(strings.ToLower(part)); name != "" {
+				names = append(names, name)
+			}
+		}
+		if len(got) != len(names) {
+			t.Fatalf("%q: %d profiles for %d names", s, len(got), len(names))
+		}
+		for i, p := range got {
+			if strings.ToLower(p.Kind.String()) != names[i] || p != molecule.DefaultProfile(p.Kind) {
+				t.Fatalf("%q: profile %d = %+v for name %q", s, i, p, names[i])
+			}
+		}
+	})
+}

@@ -69,3 +69,33 @@ func TestTransferFaultInflation(t *testing.T) {
 		t.Errorf("inflate=3 transfer took %v, want %v", inflated, want)
 	}
 }
+
+// TestTransferHugeInflationSaturates: an inflation factor so large that the
+// stretched latency overflows a Duration must leave the transfer stuck at
+// the end of virtual time, not wrap negative and make it instant.
+func TestTransferHugeInflationSaturates(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		env, m := testMachine(t, Config{DPUs: 1})
+		m.Faults = &fakeInjector{inflate: 1e300}
+		done := false
+		env.Spawn("xfer", func(p *sim.Proc) {
+			var err error
+			if batch {
+				_, err = m.TransferBatch(p, 0, 1, []int{4096})
+			} else {
+				_, err = m.Transfer(p, 0, 1, 4096)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			done = true
+		})
+		env.RunUntil(sim.Time(time.Hour))
+		if done {
+			t.Errorf("batch=%v: transfer at inflate=1e300 finished within an hour", batch)
+		}
+		if end := env.Run(); !done || end != sim.MaxTime {
+			t.Errorf("batch=%v: transfer done=%v at %v, want done at sim.MaxTime", batch, done, end)
+		}
+	}
+}

@@ -11,6 +11,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/params"
@@ -211,6 +212,17 @@ func (m *Machine) LinkBetween(a, b PUID) (Link, bool) {
 	return l, ok
 }
 
+// inflateDur stretches d by factor f, saturating at the longest Duration:
+// a huge factor must make a link slower, never wrap the product negative
+// (which Sleep would clamp to an instant transfer).
+func inflateDur(d time.Duration, f float64) time.Duration {
+	x := float64(d) * f
+	if x >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(x)
+}
+
 // Transfer moves n bytes from PU a to PU b, sleeping the calling process
 // for the link's transfer time. On shared-medium links the bandwidth phase
 // contends with concurrent transfers in the same direction. It returns the
@@ -230,8 +242,8 @@ func (m *Machine) Transfer(p *sim.Proc, a, b PUID, n int) (Link, error) {
 	baseLat := l.BaseLat
 	bwTime := l.TransferTime(n) - l.BaseLat
 	if inflate > 1 {
-		baseLat = time.Duration(float64(baseLat) * inflate)
-		bwTime = time.Duration(float64(bwTime) * inflate)
+		baseLat = inflateDur(baseLat, inflate)
+		bwTime = inflateDur(bwTime, inflate)
 	}
 	p.Sleep(baseLat)
 	if bwTime <= 0 {
@@ -277,8 +289,8 @@ func (m *Machine) TransferBatch(p *sim.Proc, a, b PUID, sizes []int) (Link, erro
 	baseLat := l.BaseLat
 	bwTime := l.TransferTime(total) - l.BaseLat
 	if inflate > 1 {
-		baseLat = time.Duration(float64(baseLat) * inflate)
-		bwTime = time.Duration(float64(bwTime) * inflate)
+		baseLat = inflateDur(baseLat, inflate)
+		bwTime = inflateDur(bwTime, inflate)
 	}
 	p.Sleep(baseLat)
 	if bwTime <= 0 {

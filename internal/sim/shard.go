@@ -56,6 +56,7 @@ type Sharded struct {
 	lookahead Duration
 	outbox    [][]crossMsg // per source domain; owned by that domain's thread
 	merge     []crossMsg   // barrier scratch buffer, reused between rounds
+	panics    []any        // per-domain recovered panic of the last parallel round
 
 	// Window telemetry (SetWindowObserver). All nil/zero when detached;
 	// the windowed driver then pays one nil check per round.
@@ -83,6 +84,7 @@ func NewSharded(n int) *Sharded {
 	sh := &Sharded{
 		doms:   make([]*Env, n),
 		outbox: make([][]crossMsg, n),
+		panics: make([]any, n),
 	}
 	for i := range sh.doms {
 		e := NewEnv()
@@ -225,6 +227,10 @@ func (sh *Sharded) anyStopped() bool {
 // The execution — per-domain event order, traces, clocks, counters — is
 // identical for every workers value: parallelism changes wall-clock time
 // only.
+//
+// A process panic (see Env.Run) re-raises on the goroutine calling Run, at
+// every worker count. When several domains panic in the same window, the
+// lowest domain index wins, which is the panic a sequential run meets first.
 func (sh *Sharded) Run(workers int) Time {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -307,6 +313,11 @@ func (sh *Sharded) runWindows(workers int) {
 // distinct index of winEvents — no two workers share an element, so the
 // writes are race-free and the counts are identical to the sequential
 // path's.
+//
+// A worker recovers a process panic instead of letting it kill the program
+// from a bare goroutine. After the barrier the driver re-raises the panic of
+// the lowest domain index: windows are independent, so that is the panic
+// the sequential loop meets first.
 func (sh *Sharded) runRound(bound Time, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -315,6 +326,7 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 	if sh.winObs != nil {
 		events = sh.winEvents
 	}
+	panics := sh.panics
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
@@ -323,7 +335,8 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 				if i >= len(sh.doms) {
 					return
 				}
-				n := sh.doms[i].window(bound)
+				n, r := sh.doms[i].guardedWindow(bound)
+				panics[i] = r
 				if events != nil {
 					events[i] = n
 				}
@@ -331,6 +344,17 @@ func (sh *Sharded) runRound(bound Time, workers int) {
 		}()
 	}
 	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
+}
+
+// guardedWindow is window with a process panic recovered and returned.
+func (e *Env) guardedWindow(bound Time) (n int, panicked any) {
+	defer func() { panicked = recover() }()
+	return e.window(bound), nil
 }
 
 // Now returns the maximum current virtual time across domains.

@@ -2,19 +2,22 @@
 //
 // Every component of the Molecule reproduction — operating systems, XPU-Shim
 // nodes, sandboxes, function instances — runs as a simulation process
-// (a goroutine coordinated by an Env) that blocks on simulated primitives
-// (Sleep, channel operations, resources) instead of real time. Exactly one
-// process runs at any instant; the kernel hands control between the scheduler
-// and processes over unbuffered channels, so event ordering is deterministic:
-// events fire in (time, sequence-number) order.
+// (an iter.Pull coroutine driven by an Env) that blocks on simulated
+// primitives (Sleep, channel operations, resources) instead of real time.
+// Exactly one process runs at any instant: the scheduler resumes a process by
+// calling its coroutine's next, and the process parks by yielding back, a
+// direct coroutine switch with no channel or scheduler hop in between. Event
+// ordering is therefore deterministic: events fire in (time, sequence-number)
+// order.
 //
 // The virtual clock is a Time in nanoseconds. A complete benchmark run that
 // models minutes of system activity executes in milliseconds of wall time.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"math"
 	"sort"
 	"time"
 )
@@ -26,8 +29,19 @@ type Time int64
 // the same unit (nanoseconds) as wall-clock durations for readability.
 type Duration = time.Duration
 
-// After returns the time d after t.
-func (t Time) After(d Duration) Time { return t + Time(d) }
+// MaxTime is the latest representable virtual time.
+const MaxTime = Time(math.MaxInt64)
+
+// After returns the time d after t, saturating at MaxTime: a delay too long
+// to represent (an inflated transfer, say) must not wrap into the past,
+// where the kernel would clamp it to "now" and make it instant.
+func (t Time) After(d Duration) Time {
+	u := t + Time(d)
+	if d > 0 && u < t {
+		return MaxTime
+	}
+	return u
+}
 
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
@@ -51,28 +65,62 @@ type event struct {
 	msg resumeMsg
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). It is typed,
+// not a heap.Interface, so pushes and pops neither box events in an `any`
+// nor call Less/Swap through an interface; at steady state it allocates
+// nothing.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// before reports whether a fires before b.
+func before(a, b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+func (h eventHeap) peek() *event { return h[0] }
+
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(ev, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (x any) {
-	old := *h
-	n := len(old)
-	x = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(q[r], q[c]) {
+				c = r
+			}
+			if !before(q[c], last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
-func (h eventHeap) peek() *event       { return h[0] }
-func (h *eventHeap) pushEv(ev *event)  { heap.Push(h, ev) }
-func (h *eventHeap) popEv() (e *event) { return heap.Pop(h).(*event) }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // Create one with NewEnv, spawn processes with Spawn, and drive it with Run.
@@ -82,9 +130,8 @@ type Env struct {
 	now     Time
 	seq     int64
 	events  eventHeap
-	parkCh  chan struct{} // process → scheduler: "I have parked or exited"
-	running *Proc         // the process currently executing, if any
-	nprocs  int           // live (spawned, not yet exited) processes
+	running *Proc // the process currently executing, if any
+	nprocs  int   // live (spawned, not yet exited) processes
 	stopped bool
 	limit   Time // run-until horizon; 0 means none
 
@@ -113,7 +160,7 @@ const maxFreeEvents = 1024
 
 // NewEnv returns an empty environment at time 0.
 func NewEnv() *Env {
-	return &Env{parkCh: make(chan struct{})}
+	return &Env{}
 }
 
 // Now returns the current virtual time.
@@ -160,7 +207,7 @@ func (e *Env) recycle(ev *event) {
 func (e *Env) schedule(t Time, fn func()) {
 	ev := e.newEvent(t)
 	ev.fn = fn
-	e.events.pushEv(ev)
+	e.events.push(ev)
 }
 
 // scheduleResume enqueues "resume p with msg" at time t without allocating
@@ -169,7 +216,7 @@ func (e *Env) schedule(t Time, fn func()) {
 func (e *Env) scheduleResume(t Time, p *Proc, msg resumeMsg) {
 	ev := e.newEvent(t)
 	ev.p, ev.msg = p, msg
-	e.events.pushEv(ev)
+	e.events.push(ev)
 }
 
 // fire dispatches a dequeued event. The event is recycled first (its fields
@@ -195,14 +242,17 @@ func (e *Env) AfterFunc(d Duration, fn func()) { e.schedule(e.now.After(d), fn) 
 // Stop halts the simulation after the currently firing event completes.
 func (e *Env) Stop() { e.stopped = true }
 
-// Proc is a simulation process. A Proc's body runs on its own goroutine but
-// executes only while the scheduler has handed it control; calling a blocking
-// method (Sleep, channel Recv, ...) parks the body and returns control.
+// Proc is a simulation process. A Proc's body runs as an iter.Pull
+// coroutine that executes only while the scheduler has resumed it; calling a
+// blocking method (Sleep, channel Recv, ...) parks the body by yielding
+// control back to the scheduler.
 type Proc struct {
-	env      *Env
-	name     string
-	resumeCh chan resumeMsg
-	exited   bool
+	env    *Env
+	name   string
+	msg    resumeMsg // set by Env.resume, read by park
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
+	exited bool
 }
 
 type resumeMsg struct {
@@ -234,39 +284,46 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAfter is Spawn with a start delay of d.
 func (e *Env) SpawnAfter(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resumeCh: make(chan resumeMsg)}
+	p := &Proc{env: e, name: name}
 	e.nprocs++
 	e.spawned = append(e.spawned, p)
-	go func() {
-		msg := <-p.resumeCh // wait for the start event
-		defer func() {
-			p.exited = true
-			e.nprocs--
-			e.noteExit()
-			if r := recover(); r != nil {
-				if _, ok := r.(Interrupted); ok {
-					e.parkCh <- struct{}{}
-					return
-				}
-				// Re-panicking here would crash a bare goroutine with a
-				// useless trace; surface the original value instead.
-				panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
-			}
-			e.parkCh <- struct{}{}
-		}()
-		if msg.interrupted {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		if p.msg.interrupted {
 			return // interrupted before first run
 		}
 		fn(p)
-	}()
+	})
 	e.scheduleResume(e.now.After(d), p, resumeMsg{})
 	return p
+}
+
+// exit runs, deferred, as the body of p returns or panics. It drops the
+// coroutine closures, so an exited Proc still referenced from e.spawned or
+// a waiter list does not keep its body (and everything the body captured)
+// alive. An Interrupted panic ends the process cleanly; any other panic is
+// re-raised with the process name, and iter.Pull carries it out of next to
+// the goroutine driving the scheduler (Env.Run, RunUntil or Sharded.Run).
+func (p *Proc) exit() {
+	e := p.env
+	p.exited = true
+	p.next, p.yield = nil, nil
+	p.msg = resumeMsg{}
+	e.nprocs--
+	e.noteExit()
+	if r := recover(); r != nil {
+		if _, ok := r.(Interrupted); ok {
+			return
+		}
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+	}
 }
 
 // noteExit records a process exit and compacts e.spawned once exited procs
 // dominate it, so long soak runs that spawn millions of short-lived procs
 // keep BlockedProcs bookkeeping bounded by the number of live procs. It runs
-// on the exiting proc's goroutine before control returns to the scheduler,
+// on the exiting proc's coroutine before control returns to the scheduler,
 // the same discipline under which Spawn appends.
 func (e *Env) noteExit() {
 	e.exited++
@@ -286,22 +343,24 @@ func (e *Env) noteExit() {
 	e.exited = 0
 }
 
-// resume hands control to p and blocks until p parks again or exits.
+// resume hands control to p and returns when p parks again or exits.
 func (e *Env) resume(p *Proc, msg resumeMsg) {
 	if p.exited {
 		return
 	}
 	prev := e.running
 	e.running = p
-	p.resumeCh <- msg
-	<-e.parkCh
+	p.msg = msg
+	p.next()
 	e.running = prev
 }
 
-// park yields control back to the scheduler and blocks until resumed.
+// park yields control back to the scheduler and returns, with the message
+// the scheduler resumed it with, once resumed.
 func (p *Proc) park() resumeMsg {
-	p.env.parkCh <- struct{}{}
-	msg := <-p.resumeCh
+	p.yield(struct{}{})
+	msg := p.msg
+	p.msg = resumeMsg{}
 	if msg.interrupted {
 		panic(Interrupted{Proc: p.name})
 	}
@@ -315,8 +374,8 @@ func (p *Proc) park() resumeMsg {
 // Stop, RunUntil horizon, or shard-window bound intervenes), the kernel
 // advances the clock and
 // returns directly — the outcome is identical to parking, having the
-// scheduler pop the wake event, and resuming, but without the two channel
-// handoffs or the heap traffic. Pending same-instant events (including
+// scheduler pop the wake event, and resuming, but without the two coroutine
+// switches or the heap traffic. Pending same-instant events (including
 // Interrupts, which are scheduled at the current time) always have an
 // earlier (time, seq) position and therefore disable the fast path, so
 // event ordering is preserved exactly.
@@ -352,7 +411,9 @@ func (p *Proc) Interrupt() {
 }
 
 // Run drives the simulation until no events remain or Stop is called.
-// It returns the final virtual time.
+// It returns the final virtual time. A process that panics with anything but
+// Interrupted ends the run: the panic re-raises on the goroutine calling Run
+// (or RunUntil) as the string `sim: process "<name>" panicked: <value>`.
 func (e *Env) Run() Time {
 	e.limit = 0
 	return e.loop()
@@ -367,13 +428,14 @@ func (e *Env) RunUntil(t Time) Time {
 }
 
 func (e *Env) loop() Time {
+	defer e.unwind(e.running)
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
 		if e.limit > 0 && e.events.peek().t > e.limit {
 			e.now = e.limit
 			break
 		}
-		ev := e.events.popEv()
+		ev := e.events.pop()
 		e.now = ev.t
 		e.fire(ev)
 	}
@@ -390,19 +452,27 @@ func (e *Env) loop() Time {
 //
 //molecule:hotpath
 func (e *Env) window(bound Time) int {
+	defer e.unwind(e.running)
 	e.windowBound = bound
 	n := 0
 	for len(e.events) > 0 && !e.stopped {
 		if e.events.peek().t >= bound {
 			break
 		}
-		ev := e.events.popEv()
+		ev := e.events.pop()
 		e.now = ev.t
 		e.fire(ev)
 		n++
 	}
-	e.windowBound = 0
 	return n
+}
+
+// unwind closes a dispatch loop, normally or while a process panic unwinds
+// through it: the window bound is lifted and e.running is restored to prev,
+// the process (if any) that was running when the loop was entered.
+func (e *Env) unwind(prev *Proc) {
+	e.running = prev
+	e.windowBound = 0
 }
 
 // nextEventTime returns the time of the earliest queued event and whether
